@@ -82,7 +82,9 @@ def _load_ring(path: str) -> CohomologyRing:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as handle:
+        # undecodable bytes become lone surrogates, as on stdin, so the
+        # parser reports them with a position
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             text = handle.read()
     return parse_ring(text)
 

@@ -13,7 +13,7 @@ computations insist on a clean report first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .abelian import Element, FgGroup
@@ -159,18 +159,23 @@ class CohomologyRing:
         return self.cup(a, a)
 
     def validate(self) -> ValidationReport:
-        return _validate(self)
+        return self._validation
 
     def require_valid(self) -> None:
-        report = _validate(self)
+        report = self._validation
         if not report.ok:
             raise InvalidRingError(report)
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        # Computed once per ring object and kept in its __dict__, which a
+        # frozen dataclass still allows, so the report dies with the ring.
+        return _validate(self)
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"
 
 
-@lru_cache(maxsize=None)
 def _validate(ring: CohomologyRing) -> ValidationReport:
     issues: list[ValidationIssue] = []
     h2, h4, table = ring.h2, ring.h4, ring.cup_form.entries
@@ -208,4 +213,4 @@ def validate_ring(ring: CohomologyRing) -> ValidationReport:
     Returns a report listing every violation with the generator indices
     involved; an empty report means the ring is usable downstream.
     """
-    return _validate(ring)
+    return ring.validate()

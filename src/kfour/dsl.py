@@ -17,7 +17,8 @@ Expressions combine the two bundle constructors with ring arithmetic::
     (L([1]) - 1)^2 + 2*(L([1]) - 1)
 
 ``L([k1,...,kp])`` / ``V([k1,...,kq])`` take coordinate lists over the H^2 /
-H^4 generators, integer literals are unbounded, and ``^`` (non-negative
+H^4 generators, integer literals are ASCII digits of any length the
+interpreter converts (a longer one is a ParseError), and ``^`` (non-negative
 integer exponent only) binds tighter than ``*``, which binds tighter than
 ``+`` and ``-``.
 """
@@ -25,6 +26,7 @@ integer exponent only) binds tighter than ``*``, which binds tighter than
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .abelian import FgGroup
@@ -53,6 +55,20 @@ class ParseError(ValueError):
         self.message = message
         self.line = line
         self.col = col
+
+
+def _int_literal(text: str, line: int, col: int) -> int:
+    """``int(text)`` for a token already known to be an integer literal."""
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        digits = len(text.lstrip("+-"))
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(
+            f"integer literal too long ({digits} digits; the limit is {limit})",
+            line,
+            col,
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +120,7 @@ class _LineParser:
         tok, col = self.take(what)
         if not _INT_RE.match(tok):
             raise ParseError(f"expected {what}, got '{tok}'", self.lineno, col)
-        return int(tok), col
+        return _int_literal(tok, self.lineno, col), col
 
     def rest_integers(self, what: str) -> list[tuple[int, int]]:
         values = []
@@ -253,7 +269,7 @@ class _Token:
     col: int
 
 
-_EXPR_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()\[\],+\-*^]|\S")
+_EXPR_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()\[\],+\-*^]|\S")
 
 
 def _tokenize_expr(text: str) -> list[_Token]:
@@ -262,7 +278,7 @@ def _tokenize_expr(text: str) -> list[_Token]:
         for m in _EXPR_TOKEN.finditer(line):
             piece = m.group()
             col = m.start() + 1
-            if piece.isdigit():
+            if piece.isascii() and piece.isdigit():
                 kind = "int"
             elif piece[0].isalpha() or piece[0] == "_":
                 kind = "name"
@@ -339,13 +355,13 @@ class _ExprParser:
                 raise ParseError(
                     "exponent must be a non-negative integer literal", tok.line, tok.col
                 )
-            value = k_pow(self.ring, value, int(tok.text))
+            value = k_pow(self.ring, value, _int_literal(tok.text, tok.line, tok.col))
         return value
 
     def atom(self) -> KClass:
         tok = self.next()
         if tok.kind == "int":
-            return integer_class(self.ring, int(tok.text))
+            return integer_class(self.ring, _int_literal(tok.text, tok.line, tok.col))
         if tok.kind == "name":
             if tok.text == "L":
                 return line_class(self.ring, self.vector(self.ring.h2, tok))
@@ -391,7 +407,7 @@ class _ExprParser:
         if tok.kind != "int":
             got = "end of input" if tok.kind == "end" else f"'{tok.text}'"
             raise ParseError(f"expected an integer, got {got}", tok.line, tok.col)
-        return sign * int(tok.text)
+        return sign * _int_literal(tok.text, tok.line, tok.col)
 
 
 def eval_expr(ring: CohomologyRing, text: str) -> KClass:

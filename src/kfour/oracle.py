@@ -8,7 +8,10 @@ Three independent checks live here:
   over a coordinate box otherwise).
 
 * :func:`verify_ring_axioms` grinds through commutativity, associativity,
-  distributivity, unit and inverse laws on a whole block of classes.
+  distributivity, unit and inverse laws on a whole block of classes, or on
+  random triples.  The eight laws are written once, over sums, products and
+  negatives memoised per operand pair on interned class indices; the two
+  modes differ only in the index tuples they feed to the laws.
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
@@ -17,12 +20,14 @@ Three independent checks live here:
   presentation and confirms that the multiplicative relations are consistent
   with the quotient.
 
-Nothing in this module trusts the closed multiplication formula; that is the
-point.
+Relations and ring laws run through one tally loop, which counts instances
+and failures and keeps the first counterexamples.  Nothing in this module
+trusts the closed multiplication formula; that is the point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -43,7 +48,6 @@ from .kclasses import (
     k_add,
     k_mul,
     k_neg,
-    k_scale,
     line_class,
     rank2_class,
 )
@@ -111,84 +115,47 @@ class VerificationReport:
         raise KeyError(name)
 
 
-# The seven defining relations.  Each entry: (name, description, variable
-# kinds drawn from {"x": H^2, "y": H^4}, lhs, rhs) where lhs/rhs map
-# (ring, *elements) to a KClass, evaluated through the coordinate engine.
-def _r1_lhs(r):
-    return (line_class(r, r.h2.zero), rank2_class(r, r.h4.zero))
+def _relations(r: CohomologyRing):
+    """The seven defining relations as (name, description, variable names, law).
 
-
-def _r1_rhs(r):
-    return (integer_class(r, 1), integer_class(r, 2))
-
-
-RELATIONS: tuple[tuple[str, str, str, Callable, Callable], ...] = (
-    ("1", "trivial bundles have ranks 1 and 2", "", _r1_lhs, _r1_rhs),
-    (
-        "2",
-        "product of line classes adds first Chern classes",
-        "xx",
-        lambda r, x, x2: k_mul(r, line_class(r, x), line_class(r, x2)),
-        lambda r, x, x2: line_class(r, r.h2.add(x, x2)),
-    ),
-    (
-        "3",
-        "a line class plus its conjugate is a rank-2 class",
-        "x",
-        lambda r, x: k_add(r, line_class(r, x), line_class(r, r.h2.negate(x))),
-        lambda r, x: rank2_class(r, r.h4.negate(r.cup_square(x))),
-    ),
-    (
-        "4",
-        "sum of rank-2 classes",
-        "yy",
-        lambda r, y, y2: k_add(r, rank2_class(r, y), rank2_class(r, y2)),
-        lambda r, y, y2: k_add(
-            r, integer_class(r, 2), rank2_class(r, r.h4.add(y, y2))
-        ),
-    ),
-    (
-        "5",
-        "product of rank-2 classes",
-        "yy",
-        lambda r, y, y2: k_mul(r, rank2_class(r, y), rank2_class(r, y2)),
-        lambda r, y, y2: k_add(
-            r,
-            integer_class(r, 2),
-            rank2_class(r, r.h4.add(r.h4.scale(2, y), r.h4.scale(2, y2))),
-        ),
-    ),
-    (
-        "6",
-        "line class times rank-2 class",
-        "xy",
-        lambda r, x, y: k_mul(r, line_class(r, x), rank2_class(r, y)),
-        lambda r, x, y: k_add(
-            r,
-            k_add(
-                r,
-                line_class(r, r.h2.scale(2, x)),
-                rank2_class(r, r.h4.add(r.cup_square(x), y)),
-            ),
-            integer_class(r, -1),
-        ),
-    ),
-    (
-        "7",
-        "sum of line classes",
-        "xx",
-        lambda r, x, x2: k_add(r, line_class(r, x), line_class(r, x2)),
-        lambda r, x, x2: k_add(
-            r,
-            k_add(
-                r,
-                line_class(r, r.h2.add(x, x2)),
-                rank2_class(r, r.cup(x, x2)),
-            ),
-            integer_class(r, -1),
-        ),
-    ),
-)
+    A variable ranges over H^2 when its name starts with "x" and over H^4
+    when it starts with "y"; each law evaluates both sides through the
+    coordinate engine.
+    """
+    h2, h4 = r.h2, r.h4
+    L = functools.partial(line_class, r)
+    V = functools.partial(rank2_class, r)
+    n = functools.partial(integer_class, r)
+    return (
+        ("1", "trivial bundles have ranks 1 and 2", (),
+            lambda: ((L(h2.zero), V(h4.zero)), (n(1), n(2)))),
+        ("2", "product of line classes adds first Chern classes", ("x", "x2"),
+            lambda x, x2: (k_mul(r, L(x), L(x2)), L(h2.add(x, x2)))),
+        ("3", "a line class plus its conjugate is a rank-2 class", ("x",),
+            lambda x: (
+                k_add(r, L(x), L(h2.negate(x))),
+                V(h4.negate(r.cup_square(x))),
+            )),
+        ("4", "sum of rank-2 classes", ("y", "y2"),
+            lambda y, y2: (k_add(r, V(y), V(y2)), k_add(r, n(2), V(h4.add(y, y2))))),
+        ("5", "product of rank-2 classes", ("y", "y2"),
+            lambda y, y2: (
+                k_mul(r, V(y), V(y2)),
+                k_add(r, n(2), V(h4.add(h4.scale(2, y), h4.scale(2, y2)))),
+            )),
+        ("6", "line class times rank-2 class", ("x", "y"),
+            lambda x, y: (
+                k_mul(r, L(x), V(y)),
+                k_add(
+                    r, k_add(r, L(h2.scale(2, x)), V(h4.add(r.cup_square(x), y))), n(-1)
+                ),
+            )),
+        ("7", "sum of line classes", ("x", "x2"),
+            lambda x, x2: (
+                k_add(r, L(x), L(x2)),
+                k_add(r, k_add(r, L(h2.add(x, x2)), V(r.cup(x, x2))), n(-1)),
+            )),
+    )
 
 
 def _domain(group: FgGroup, bound: int) -> list[Element]:
@@ -197,35 +164,23 @@ def _domain(group: FgGroup, bound: int) -> list[Element]:
     return list(group.bounded_elements(bound))
 
 
-def _run_relation(
-    ring: CohomologyRing,
-    name: str,
-    description: str,
-    kinds: str,
-    lhs: Callable,
-    rhs: Callable,
-    xs: list[Element],
-    ys: list[Element],
-) -> RelationCheck:
-    domains = [xs if kind == "x" else ys for kind in kinds]
-    var_names = []
-    seen: dict[str, int] = {}
-    for kind in kinds:
-        seen[kind] = seen.get(kind, 0) + 1
-        var_names.append(kind if seen[kind] == 1 else f"{kind}{seen[kind]}")
-    instances = 0
-    failures = 0
+def _check(name: str, description: str, names: Iterable[str], cases: Iterable[tuple],
+           law: Callable, show: Callable = lambda value: value) -> RelationCheck:
+    """Run ``law`` on every case, tallying where its (lhs, rhs) differ.
+
+    The first ``MAX_COUNTEREXAMPLES`` failures are kept, each operand and
+    side passed through ``show`` for display.
+    """
+    instances = failures = 0
     examples: list[Counterexample] = []
-    for combo in itertools.product(*domains):
+    for case in cases:
         instances += 1
-        left = lhs(ring, *combo)
-        right = rhs(ring, *combo)
+        left, right = law(*case)
         if left != right:
             failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
-                examples.append(
-                    Counterexample(tuple(zip(var_names, combo)), left, right)
-                )
+                inputs = tuple(zip(names, map(show, case)))
+                examples.append(Counterexample(inputs, show(left), show(right)))
     return RelationCheck(name, description, instances, failures, tuple(examples))
 
 
@@ -242,145 +197,58 @@ def verify_relations(
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     wanted = None if only is None else set(only)
-    xs = _domain(ring.h2, bound)
-    ys = _domain(ring.h4, bound)
+    domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
     checks = [
-        _run_relation(ring, name, description, kinds, lhs, rhs, xs, ys)
-        for name, description, kinds, lhs, rhs in RELATIONS
+        _check(name, description, names,
+               itertools.product(*(domains[var[0]] for var in names)), law)
+        for name, description, names, law in _relations(ring)
         if wanted is None or name in wanted
     ]
     return VerificationReport(tuple(checks))
 
 
-class _ClassTable:
-    """Interned classes with memoized sums and products.
+class _Memo(dict):
+    """An engine operation on interned class indices, called once per key.
 
-    Results escape the initial rank window, so the table grows as needed;
-    every value is produced by the real engine exactly once per operand pair.
+    A key is an index pair for ``k_add``/``k_mul`` and one index for
+    ``k_neg``.  A subscript that hits is a C-level lookup, which keeps the n^3
+    loops cheap.  ``op`` is read from the module when a check starts, so a
+    replaced ``k_add``/``k_mul``/``k_neg`` reaches every law.
     """
 
-    def __init__(self, ring: CohomologyRing, classes: list[KClass]):
-        self.ring = ring
-        self.classes = list(classes)
-        self.index = {(c.rank, c.c1, c.c2): i for i, c in enumerate(self.classes)}
-        self._add: dict[tuple[int, int], int] = {}
-        self._mul: dict[tuple[int, int], int] = {}
-        self._neg: dict[int, int] = {}
+    def __init__(self, op: Callable, ring: CohomologyRing, classes: list[KClass],
+                 intern: Callable[[KClass], int]):
+        super().__init__()
+        self.op, self.ring, self.classes, self.intern = op, ring, classes, intern
 
-    def intern(self, c: KClass) -> int:
-        key = (c.rank, c.c1, c.c2)
-        i = self.index.get(key)
-        if i is None:
-            i = len(self.classes)
-            self.classes.append(c)
-            self.index[key] = i
-        return i
-
-    def add(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._add.get(key)
-        if k is None:
-            k = self.intern(k_add(self.ring, self.classes[i], self.classes[j]))
-            self._add[key] = k
-        return k
-
-    def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._mul.get(key)
-        if k is None:
-            k = self.intern(k_mul(self.ring, self.classes[i], self.classes[j]))
-            self._mul[key] = k
-        return k
-
-    def neg(self, i: int) -> int:
-        k = self._neg.get(i)
-        if k is None:
-            k = self.intern(k_neg(self.ring, self.classes[i]))
-            self._neg[i] = k
-        return k
+    def __missing__(self, key) -> int:
+        operands = key if isinstance(key, tuple) else (key,)
+        result = self.op(self.ring, *(self.classes[i] for i in operands))
+        value = self[key] = self.intern(result)
+        return value
 
 
-def _axiom_checks(table: _ClassTable, n: int) -> list[RelationCheck]:
-    ring = table.ring
-    zero = table.intern(integer_class(ring, 0))
-    one = table.intern(integer_class(ring, 1))
-    add, mul, neg = table.add, table.mul, table.neg
-    cls = table.classes
+def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int):
+    """The eight ring laws as (name, description, operand names, law).
 
-    def run(name, description, instances_failures_examples):
-        instances, failures, examples = instances_failures_examples
-        return RelationCheck(name, description, instances, failures, tuple(examples))
-
-    def binary(law, pairs):
-        instances = failures = 0
-        examples = []
-        for i, j in pairs:
-            instances += 1
-            left, right = law(i, j)
-            if left != right:
-                failures += 1
-                if len(examples) < MAX_COUNTEREXAMPLES:
-                    examples.append(
-                        Counterexample(
-                            (("a", cls[i]), ("b", cls[j])), cls[left], cls[right]
-                        )
-                    )
-        return instances, failures, examples
-
-    def ternary(law):
-        instances = failures = 0
-        examples = []
-        rng = range(n)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    left, right = law(i, j, k)
-                    if left != right:
-                        failures += 1
-                        if len(examples) < MAX_COUNTEREXAMPLES:
-                            examples.append(
-                                Counterexample(
-                                    (("a", cls[i]), ("b", cls[j]), ("c", cls[k])),
-                                    cls[left],
-                                    cls[right],
-                                )
-                            )
-        instances = n * n * n
-        return instances, failures, examples
-
-    def unary(law):
-        instances = failures = 0
-        examples = []
-        for i in range(n):
-            instances += 1
-            left, right = law(i)
-            if left != right:
-                failures += 1
-                if len(examples) < MAX_COUNTEREXAMPLES:
-                    examples.append(
-                        Counterexample((("a", cls[i]),), cls[left], cls[right])
-                    )
-        return instances, failures, examples
-
-    upper_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [
-        run("add_commutative", "a + b = b + a",
-            binary(lambda i, j: (add(i, j), add(j, i)), upper_pairs)),
-        run("add_identity", "a + 0 = a",
-            unary(lambda i: (add(i, zero), i))),
-        run("add_inverse", "a + (-a) = 0",
-            unary(lambda i: (add(i, neg(i)), zero))),
-        run("mul_commutative", "a b = b a",
-            binary(lambda i, j: (mul(i, j), mul(j, i)), upper_pairs)),
-        run("mul_identity", "a * 1 = a",
-            unary(lambda i: (mul(i, one), i))),
-        run("add_associative", "(a + b) + c = a + (b + c)",
-            ternary(lambda i, j, k: (add(add(i, j), k), add(i, add(j, k))))),
-        run("mul_associative", "(a b) c = a (b c)",
-            ternary(lambda i, j, k: (mul(mul(i, j), k), mul(i, mul(j, k))))),
-        run("distributive", "a (b + c) = a b + a c",
-            ternary(lambda i, j, k: (mul(i, add(j, k)), add(mul(i, j), mul(i, k))))),
-    ]
+    Operands and results are interned indices, so equal classes compare
+    equal; every sum, product and negative comes from the memos.
+    """
+    return (
+        ("add_commutative", "a + b = b + a", "ab",
+            lambda a, b: (add[a, b], add[b, a])),
+        ("add_identity", "a + 0 = a", "a", lambda a: (add[a, zero], a)),
+        ("add_inverse", "a + (-a) = 0", "a", lambda a: (add[a, neg[a]], zero)),
+        ("mul_commutative", "a b = b a", "ab",
+            lambda a, b: (mul[a, b], mul[b, a])),
+        ("mul_identity", "a * 1 = a", "a", lambda a: (mul[a, one], a)),
+        ("add_associative", "(a + b) + c = a + (b + c)", "abc",
+            lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]])),
+        ("mul_associative", "(a b) c = a (b c)", "abc",
+            lambda a, b, c: (mul[mul[a, b], c], mul[a, mul[b, c]])),
+        ("distributive", "a (b + c) = a b + a c", "abc",
+            lambda a, b, c: (mul[a, add[b, c]], add[mul[a, b], mul[a, c]])),
+    )
 
 
 def verify_ring_axioms(
@@ -400,68 +268,61 @@ def verify_ring_axioms(
     """
     ring.require_valid()
     lo, hi = rank_range
+    # Sums and products escape the drawn classes, so the list grows as the
+    # memos fill.  Each distinct class gets one index, so equal classes
+    # compare equal as indices.
+    classes: list[KClass] = []
+    index: dict[tuple, int] = {}
+
+    def intern(c: KClass) -> int:
+        i = index.setdefault((c.rank, c.c1, c.c2), len(classes))
+        if i == len(classes):
+            classes.append(c)
+        return i
+
     if samples is None:
-        classes = [
-            KClass(ring, rank, x, y)
+        block = [
+            intern(KClass(ring, rank, x, y))
             for rank in range(lo, hi + 1)
             for x in ring.h2.elements()
             for y in ring.h4.elements()
         ]
-        table = _ClassTable(ring, classes)
-        return VerificationReport(tuple(_axiom_checks(table, len(classes))))
 
-    rng = random.Random(seed)
+        def cases(arity: int) -> Iterable[tuple[int, ...]]:
+            # unary laws take each class, commutative laws each pair i < j
+            if arity == 3:
+                return itertools.product(block, repeat=3)
+            return itertools.combinations(block, arity)
 
-    def random_element(group: FgGroup) -> Element:
-        return group.canonical(
-            rng.randint(-bound, bound) for _ in range(group.ngens)
-        )
+    else:
+        rng = random.Random(seed)
 
-    def random_class() -> KClass:
-        return KClass(
-            ring, rng.randint(lo, hi), random_element(ring.h2), random_element(ring.h4)
-        )
+        def random_element(group: FgGroup) -> Element:
+            return group.canonical(
+                rng.randint(-bound, bound) for _ in range(group.ngens)
+            )
 
-    zero = integer_class(ring, 0)
-    one = integer_class(ring, 1)
-    laws: dict[str, tuple[str, Callable]] = {
-        "add_commutative": ("a + b = b + a",
-            lambda a, b, c: (k_add(ring, a, b), k_add(ring, b, a))),
-        "add_identity": ("a + 0 = a", lambda a, b, c: (k_add(ring, a, zero), a)),
-        "add_inverse": ("a + (-a) = 0",
-            lambda a, b, c: (k_add(ring, a, k_neg(ring, a)), zero)),
-        "mul_commutative": ("a b = b a",
-            lambda a, b, c: (k_mul(ring, a, b), k_mul(ring, b, a))),
-        "mul_identity": ("a * 1 = a", lambda a, b, c: (k_mul(ring, a, one), a)),
-        "add_associative": ("(a + b) + c = a + (b + c)",
-            lambda a, b, c: (
-                k_add(ring, k_add(ring, a, b), c), k_add(ring, a, k_add(ring, b, c)))),
-        "mul_associative": ("(a b) c = a (b c)",
-            lambda a, b, c: (
-                k_mul(ring, k_mul(ring, a, b), c), k_mul(ring, a, k_mul(ring, b, c)))),
-        "distributive": ("a (b + c) = a b + a c",
-            lambda a, b, c: (
-                k_mul(ring, a, k_add(ring, b, c)),
-                k_add(ring, k_mul(ring, a, b), k_mul(ring, a, c)))),
-    }
-    counts = {name: [0, 0, []] for name in laws}
-    for _ in range(samples):
-        a, b, c = random_class(), random_class(), random_class()
-        for name, (_, law) in laws.items():
-            left, right = law(a, b, c)
-            record = counts[name]
-            record[0] += 1
-            if left != right:
-                record[1] += 1
-                if len(record[2]) < MAX_COUNTEREXAMPLES:
-                    record[2].append(
-                        Counterexample((("a", a), ("b", b), ("c", c)), left, right)
-                    )
-    checks = tuple(
-        RelationCheck(name, laws[name][0], *counts[name][:2], tuple(counts[name][2]))
-        for name in laws
-    )
-    return VerificationReport(checks)
+        def random_class() -> int:
+            rank = rng.randint(lo, hi)
+            return intern(
+                KClass(ring, rank, random_element(ring.h2), random_element(ring.h4))
+            )
+
+        triples = [
+            (random_class(), random_class(), random_class()) for _ in range(samples)
+        ]
+
+        def cases(arity: int) -> Iterable[tuple[int, ...]]:
+            return (triple[:arity] for triple in triples)
+
+    add, mul, neg = (_Memo(op, ring, classes, intern) for op in (k_add, k_mul, k_neg))
+    zero = intern(integer_class(ring, 0))
+    one = intern(integer_class(ring, 1))
+    checks = [
+        _check(name, description, names, cases(len(names)), law, classes.__getitem__)
+        for name, description, names, law in _ring_laws(add, mul, neg, zero, one)
+    ]
+    return VerificationReport(tuple(checks))
 
 
 def oracle_reduced_group(ring: CohomologyRing) -> GroupStructureReport:

@@ -189,6 +189,18 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    def test_undecodable_file_exits_2(self, monkeypatch, tmp_path):
+        path = tmp_path / "bytes.ring"
+        path.write_bytes(b"H2 free 0 torsion 2\nH4 free 0 torsion \xff\n")
+        # the byte reaches the message as a lone surrogate, which a real
+        # stderr escapes and the capture stream could not encode
+        err = io.StringIO()
+        monkeypatch.setattr("sys.stderr", err)
+        assert cli.main(["structure", str(path)]) == 2
+        assert err.getvalue() == (
+            "kfour: line 2, column 19: expected torsion order, got '\udcff'\n"
+        )
+
     def test_validation_error_exits_2(self, capsys, tmp_path):
         path = tmp_path / "invalid.ring"
         path.write_text("H2 free 0 torsion 2\nH4 free 1 torsion\ncup 1 1 = 1\n")

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from kfour.cohomology import (
     InvalidRingError,
     validate_ring,
 )
+from kfour.kclasses import k_mul, line_class
 
 
 def rp4():
@@ -71,6 +74,18 @@ class TestValidation:
     def test_entry_length_rejected_at_construction(self):
         with pytest.raises(ValueError):
             CohomologyRing(FgGroup(0, (2,)), FgGroup(0, (2, 2)), CupForm((((1,),),)))
+
+    def test_validated_ring_is_not_kept_alive(self):
+        # a shape no other test builds, so that no equal ring used earlier
+        # can stand in for this one in a cache keyed by value
+        h2, h4 = FgGroup(0, (2,)), FgGroup(0, (1009,))
+        ring = CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4))
+        assert validate_ring(ring).ok
+        k_mul(ring, line_class(ring, (1,)), line_class(ring, (1,)))
+        ref = weakref.ref(ring)
+        del ring
+        gc.collect()
+        assert ref() is None
 
 
 class TestCup:

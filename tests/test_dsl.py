@@ -94,6 +94,10 @@ class TestParseRing:
             ("H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 =\n", 3, 10),
             ("H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 1\n", 3, 9),
             ("H2 free 0 torsion 2 wide\nH4 free 0 torsion\n", 1, 21),
+            pytest.param(
+                "H2 free 0 torsion " + "1" * 5000 + "\nH4 free 0 torsion\n", 1, 19,
+                id="literal-over-digit-limit",
+            ),
         ],
     )
     def test_malformed_inputs_have_positions(self, source, line, col):
@@ -197,6 +201,8 @@ class TestEvalExpr:
             ("$", 1, 1),
             ("L([1,])", 1, 6),
             ("", 1, 1),
+            ("L([1])^²", 1, 8),
+            pytest.param("1 + " + "9" * 5000, 1, 5, id="literal-over-digit-limit"),
         ],
     )
     def test_expression_errors_have_positions(self, expr, line, col):

@@ -110,6 +110,27 @@ class TestVerifyRingAxioms:
         assert report.ok
         assert report.check("distributive").instances == 200
 
+    def test_sampled_with_repeated_draws(self):
+        # RP^4 has only 20 classes of rank -2..2, so 600 draws repeat many
+        report = verify_ring_axioms(rp4(), samples=200)
+        assert report.ok
+        assert all(check.instances == 200 for check in report.checks)
+
+    def test_sampled_counterexamples_list_operands_read(self, monkeypatch):
+        real_mul = oracle_module.k_mul
+
+        def broken_mul(ring, a, b):
+            c = real_mul(ring, a, b)
+            return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup_square(a.c1)))
+
+        monkeypatch.setattr(oracle_module, "k_mul", broken_mul)
+        report = verify_ring_axioms(cp2(), samples=50, seed=2)
+        for law, names in (("mul_identity", ["a"]), ("mul_commutative", ["a", "b"]),
+                           ("mul_associative", ["a", "b", "c"])):
+            examples = report.check(law).counterexamples
+            assert examples
+            assert all([name for name, _ in e.inputs] == names for e in examples)
+
     def test_sampled_is_deterministic(self):
         a = verify_ring_axioms(cp2(), samples=50, seed=1)
         b = verify_ring_axioms(cp2(), samples=50, seed=1)
