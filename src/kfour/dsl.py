@@ -20,11 +20,16 @@ Expressions combine the two bundle constructors with ring arithmetic::
 H^4 generators, integer literals are ASCII digits of any length the
 interpreter converts (a longer one is a ParseError), and ``^`` (non-negative
 integer exponent only) binds tighter than ``*``, which binds tighter than
-``+`` and ``-``.
+``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep, and every
+value must stay printable: a power whose coordinates would pass the
+interpreter's digit limit is refused before it is computed, and any other
+operation whose result passes it is refused at its operator.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -45,6 +50,7 @@ from .kclasses import (
 __all__ = ["ParseError", "eval_expr", "parse_ring", "serialize_ring"]
 
 FORMAT_VERSION = 1
+MAX_NESTING = 100  # parenthesis depth; each level costs a few stack frames
 
 
 class ParseError(ValueError):
@@ -293,11 +299,21 @@ def _tokenize_expr(text: str) -> list[_Token]:
     return tokens
 
 
+@functools.lru_cache(maxsize=1)
+def _power_of_ten(digits: int) -> int:
+    return 10**digits  # some 50 us at the default limit, so kept
+
+
 class _ExprParser:
     def __init__(self, ring: CohomologyRing, tokens: list[_Token]):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+        # values must stay printable: str() refuses ints over ``limit`` digits
+        # (0 means no limit), which is every magnitude from ``too_big`` on
+        self.limit = sys.get_int_max_str_digits()
+        self.too_big = _power_of_ten(self.limit) if self.limit else None
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -322,29 +338,46 @@ class _ExprParser:
             raise ParseError(f"unexpected trailing token '{tok.text}'", tok.line, tok.col)
         return value
 
+    def fits(self, *values: int) -> bool:
+        return self.too_big is None or max(map(abs, values)) < self.too_big
+
+    def apply(self, op_tok: _Token, op, *operands: KClass) -> KClass:
+        """``op(ring, *operands)``, refused at its operator if it is unprintable."""
+        value = op(self.ring, *operands)
+        if not self.fits(value.rank, *value.c1, *value.c2):
+            raise ParseError(
+                f"result has a coordinate over {self.limit} digits",
+                op_tok.line,
+                op_tok.col,
+            )
+        return value
+
     def expr(self) -> KClass:
         value = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next()
             rhs = self.term()
-            if op.text == "+":
-                value = k_add(self.ring, value, rhs)
-            else:
-                value = k_add(self.ring, value, k_neg(self.ring, rhs))
+            if op.text == "-":
+                rhs = self.apply(op, k_neg, rhs)
+            value = self.apply(op, k_add, value, rhs)
         return value
 
     def term(self) -> KClass:
         value = self.unary()
         while self.peek().text == "*":
-            self.next()
-            value = k_mul(self.ring, value, self.unary())
+            op = self.next()
+            value = self.apply(op, k_mul, value, self.unary())
         return value
 
     def unary(self) -> KClass:
-        if self.peek().text == "-":
-            self.next()
-            return k_neg(self.ring, self.unary())
-        return self.power()
+        # iterative, so a long run of minus signs cannot exhaust the stack
+        signs = []
+        while self.peek().text == "-":
+            signs.append(self.next())
+        value = self.power()
+        for op in reversed(signs):
+            value = self.apply(op, k_neg, value)
+        return value
 
     def power(self) -> KClass:
         value = self.atom()
@@ -355,8 +388,41 @@ class _ExprParser:
                 raise ParseError(
                     "exponent must be a non-negative integer literal", tok.line, tok.col
                 )
-            value = k_pow(self.ring, value, _int_literal(tok.text, tok.line, tok.col))
+            exponent = _int_literal(tok.text, tok.line, tok.col)
+            if not self.power_fits(value, exponent):
+                raise ParseError(
+                    f"power too large: a coordinate would pass {self.limit} digits",
+                    tok.line,
+                    tok.col,
+                )
+            value = k_pow(self.ring, value, exponent)
         return value
+
+    def power_fits(self, a: KClass, n: int) -> bool:
+        """Whether an upper bound on the coordinates of a^n fits the limit.
+
+        With a = r + u, where u = a - r has rank 0, u^2 = (0, 0, -c1^2) and
+        u^3 = 0, so a^n = r^n + m u + k u^2 with m = n r^(n-1) and
+        k = C(n, 2) r^(n-2): the rank is r^n, c1 is m c1(a) and c2 is
+        m c2(a) + (C(m, 2) - k) c1(a)^2.  Torsion coordinates are reduced,
+        so only free ones are bounded; a cup with a torsion generator has no
+        free part, so c1(a)^2 is bounded by the free block of the cup form.
+        """
+        if self.too_big is None or n < 2:
+            return True
+        r = abs(a.rank)
+        # a rank past the limit by a digit needs no exact bound, which could
+        # itself be too large to compute
+        if r > 1 and n > (self.limit + 1) / math.log10(r):
+            return False
+        f2, f4 = self.ring.h2.free_rank, self.ring.h4.free_rank
+        x = max(map(abs, a.c1[:f2]), default=0)
+        y = max(map(abs, a.c2[:f4]), default=0)
+        entries = self.ring.cup_form.entries[:f2]
+        q = x * x * sum(abs(v) for row in entries for e in row[:f2] for v in e[:f4])
+        m = n * r ** (n - 1)
+        k = n * (n - 1) // 2 * r ** (n - 2)
+        return self.fits(r**n, m * x, m * y + ((m * m + m) // 2 + k) * q)
 
     def atom(self) -> KClass:
         tok = self.next()
@@ -371,8 +437,14 @@ class _ExprParser:
                 f"unknown name '{tok.text}' (expected L or V)", tok.line, tok.col
             )
         if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         got = "end of input" if tok.kind == "end" else f"'{tok.text}'"
         raise ParseError(f"expected a class expression, got {got}", tok.line, tok.col)

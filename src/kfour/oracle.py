@@ -9,9 +9,10 @@ Three independent checks live here:
 
 * :func:`verify_ring_axioms` grinds through commutativity, associativity,
   distributivity, unit and inverse laws on a whole block of classes, or on
-  random triples.  The eight laws are written once, over sums, products and
-  negatives memoised per operand pair on interned class indices; the two
-  modes differ only in the index tuples they feed to the laws.
+  random triples.  The eight laws are written once, on interned class
+  indices.  Each checks a whole column of last operands at once by mapping
+  memoised rows of engine results over it, so the n^3 grind runs as C-level
+  lookups and the engine is called once per distinct operand pair.
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
@@ -166,21 +167,27 @@ def _domain(group: FgGroup, bound: int) -> list[Element]:
 
 def _check(name: str, description: str, names: Iterable[str], cases: Iterable[tuple],
            law: Callable, show: Callable = lambda value: value) -> RelationCheck:
-    """Run ``law`` on every case, tallying where its (lhs, rhs) differ.
+    """Run ``law`` on every case, tallying the instances where its sides differ.
 
-    The first ``MAX_COUNTEREXAMPLES`` failures are kept, each operand and
-    side passed through ``show`` for display.
+    A case is (leading operands, column): ``law(*lead, column)`` returns the
+    left and right sides for every last operand in the column, as two lists.
+    Only a case whose lists differ is walked instance by instance; the first
+    ``MAX_COUNTEREXAMPLES`` failures are kept, each operand and side passed
+    through ``show`` for display.
     """
     instances = failures = 0
     examples: list[Counterexample] = []
-    for case in cases:
-        instances += 1
-        left, right = law(*case)
-        if left != right:
-            failures += 1
-            if len(examples) < MAX_COUNTEREXAMPLES:
-                inputs = tuple(zip(names, map(show, case)))
-                examples.append(Counterexample(inputs, show(left), show(right)))
+    for lead, column in cases:
+        lefts, rights = law(*lead, column)
+        instances += len(column)
+        if lefts == rights:
+            continue
+        for last, left, right in zip(column, lefts, rights):
+            if left != right:
+                failures += 1
+                if len(examples) < MAX_COUNTEREXAMPLES:
+                    inputs = tuple(zip(names, map(show, (*lead, last))))
+                    examples.append(Counterexample(inputs, show(left), show(right)))
     return RelationCheck(name, description, instances, failures, tuple(examples))
 
 
@@ -198,9 +205,13 @@ def verify_relations(
         raise ValueError(f"bound must be >= 1, got {bound}")
     wanted = None if only is None else set(only)
     domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
+    # Each relation instance is a column of one placeholder operand, which
+    # lies past the end of ``names`` and so never shows in a counterexample.
     checks = [
         _check(name, description, names,
-               itertools.product(*(domains[var[0]] for var in names)), law)
+               ((case, (None,))
+                for case in itertools.product(*(domains[var[0]] for var in names))),
+               lambda *operands, law=law: tuple([side] for side in law(*operands[:-1])))
         for name, description, names, law in _relations(ring)
         if wanted is None or name in wanted
     ]
@@ -208,46 +219,52 @@ def verify_relations(
 
 
 class _Memo(dict):
-    """An engine operation on interned class indices, called once per key.
+    """A dict that fills a missing key with ``fill(key)``, once per key.
 
-    A key is an index pair for ``k_add``/``k_mul`` and one index for
-    ``k_neg``.  A subscript that hits is a C-level lookup, which keeps the n^3
-    loops cheap.  ``op`` is read from the module when a check starts, so a
-    replaced ``k_add``/``k_mul``/``k_neg`` reaches every law.
+    A subscript that hits is a C-level lookup, so a law can map a memo over a
+    whole column of operands without a Python call per instance.
     """
 
-    def __init__(self, op: Callable, ring: CohomologyRing, classes: list[KClass],
-                 intern: Callable[[KClass], int]):
+    def __init__(self, fill: Callable):
         super().__init__()
-        self.op, self.ring, self.classes, self.intern = op, ring, classes, intern
+        self.fill = fill
 
-    def __missing__(self, key) -> int:
-        operands = key if isinstance(key, tuple) else (key,)
-        result = self.op(self.ring, *(self.classes[i] for i in operands))
-        value = self[key] = self.intern(result)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
         return value
 
 
 def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int):
-    """The eight ring laws as (name, description, operand names, law).
+    """The eight ring laws as (name, description, operand names, column law).
 
-    Operands and results are interned indices, so equal classes compare
-    equal; every sum, product and negative comes from the memos.
+    A law takes its leading operands and a list of last operands and returns
+    both sides for each, as two lists of interned indices (equal classes
+    compare equal).  Every sum, product and negative comes from the memos.
     """
+
+    def rows(memo: _Memo, column: list[int]) -> map:
+        return map(memo.__getitem__, column)
+
     return (
         ("add_commutative", "a + b = b + a", "ab",
-            lambda a, b: (add[a, b], add[b, a])),
-        ("add_identity", "a + 0 = a", "a", lambda a: (add[a, zero], a)),
-        ("add_inverse", "a + (-a) = 0", "a", lambda a: (add[a, neg[a]], zero)),
+            lambda a, bs: (list(rows(add[a], bs)), [add[b][a] for b in bs])),
+        ("add_identity", "a + 0 = a", "a",
+            lambda as_: ([add[a][zero] for a in as_], as_)),
+        ("add_inverse", "a + (-a) = 0", "a",
+            lambda as_: ([add[a][neg[a]] for a in as_], [zero] * len(as_))),
         ("mul_commutative", "a b = b a", "ab",
-            lambda a, b: (mul[a, b], mul[b, a])),
-        ("mul_identity", "a * 1 = a", "a", lambda a: (mul[a, one], a)),
+            lambda a, bs: (list(rows(mul[a], bs)), [mul[b][a] for b in bs])),
+        ("mul_identity", "a * 1 = a", "a",
+            lambda as_: ([mul[a][one] for a in as_], as_)),
         ("add_associative", "(a + b) + c = a + (b + c)", "abc",
-            lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]])),
+            lambda a, b, cs: (list(rows(add[add[a][b]], cs)),
+                              list(rows(add[a], rows(add[b], cs))))),
         ("mul_associative", "(a b) c = a (b c)", "abc",
-            lambda a, b, c: (mul[mul[a, b], c], mul[a, mul[b, c]])),
+            lambda a, b, cs: (list(rows(mul[mul[a][b]], cs)),
+                              list(rows(mul[a], rows(mul[b], cs))))),
         ("distributive", "a (b + c) = a b + a c", "abc",
-            lambda a, b, c: (mul[a, add[b, c]], add[mul[a, b], mul[a, c]])),
+            lambda a, b, cs: (list(rows(mul[a], rows(add[b], cs))),
+                              list(rows(add[mul[a][b]], rows(mul[a], cs))))),
     )
 
 
@@ -288,11 +305,14 @@ def verify_ring_axioms(
             for y in ring.h4.elements()
         ]
 
-        def cases(arity: int) -> Iterable[tuple[int, ...]]:
-            # unary laws take each class, commutative laws each pair i < j
-            if arity == 3:
-                return itertools.product(block, repeat=3)
-            return itertools.combinations(block, arity)
+        def cases(arity: int) -> Iterable[tuple[tuple[int, ...], list[int]]]:
+            # unary laws take each class, commutative laws each pair i < j,
+            # ternary laws every triple: one column of last operands per lead
+            if arity == 1:
+                return [((), block)]
+            if arity == 2:
+                return (((a,), block[i + 1:]) for i, a in enumerate(block))
+            return (((a, b), block) for a in block for b in block)
 
     else:
         rng = random.Random(seed)
@@ -312,10 +332,19 @@ def verify_ring_axioms(
             (random_class(), random_class(), random_class()) for _ in range(samples)
         ]
 
-        def cases(arity: int) -> Iterable[tuple[int, ...]]:
-            return (triple[:arity] for triple in triples)
+        def cases(arity: int) -> Iterable[tuple[tuple[int, ...], list[int]]]:
+            return ((triple[:arity - 1], [triple[arity - 1]]) for triple in triples)
 
-    add, mul, neg = (_Memo(op, ring, classes, intern) for op in (k_add, k_mul, k_neg))
+    # ``neg[a]`` is the interned -a; ``add[a]`` and ``mul[a]`` are the rows of
+    # a, whose ``row[b]`` is the interned a + b or a b.  The engine functions
+    # are read from the module here, so a replaced ``k_add``/``k_mul``/``k_neg``
+    # reaches every law, and each is called once per distinct operand tuple.
+    def engine(op: Callable) -> Callable[..., int]:
+        return lambda *operands: intern(op(ring, *(classes[i] for i in operands)))
+
+    add, mul = (_Memo(lambda a, op=engine(op): _Memo(functools.partial(op, a)))
+                for op in (k_add, k_mul))
+    neg = _Memo(engine(k_neg))
     zero = intern(integer_class(ring, 0))
     one = intern(integer_class(ring, 1))
     checks = [

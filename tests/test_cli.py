@@ -1,7 +1,10 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kfour import cli
 from kfour import oracle as oracle_module
@@ -81,6 +84,39 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "line 1" in err
+
+    def test_deep_nesting_exits_2(self, capsys, rp4_file):
+        text = "(" * 3000 + "L([1])" + ")" * 3000
+        code, out, err = run(capsys, "eval", rp4_file, text)
+        assert (code, out) == (2, "")
+        assert err == "kfour: line 1, column 101: parentheses nested deeper than 100\n"
+
+    def test_huge_power_exits_2(self, capsys, rp4_file):
+        code, out, err = run(capsys, "eval", rp4_file, "V([0])^100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("kfour: line 1, column 8: power too large")
+
+
+@pytest.fixture(scope="module")
+def ring_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rings")
+    paths = []
+    for name, source in (("rp4", RP4_SOURCE), ("cp2", CP2_SOURCE)):
+        path = root / f"{name}.ring"
+        path.write_text(source)
+        paths.append(str(path))
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring=st.integers(0, 1), text=st.text(alphabet="0123456789LV()[],+-*^ ",
+                                            max_size=40))
+def test_eval_fuzz_ends_with_an_exit_code(ring_files, ring, text):
+    # any expression text ends in a result or a diagnostic, never a traceback
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["eval", ring_files[ring], text])
+    assert code in {0, 1, 2, 3}
 
 
 class TestVerify:

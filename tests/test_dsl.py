@@ -2,8 +2,8 @@ import pytest
 
 from kfour.abelian import FgGroup
 from kfour.cohomology import CohomologyRing, CupForm
-from kfour.dsl import ParseError, eval_expr, parse_ring, serialize_ring
-from kfour.kclasses import KClass, integer_class, k_mul, line_class, rank2_class
+from kfour.dsl import MAX_NESTING, ParseError, eval_expr, parse_ring, serialize_ring
+from kfour.kclasses import KClass, integer_class, k_mul, k_pow, line_class, rank2_class
 
 RP4_SOURCE = """\
 # real projective 4-space
@@ -203,12 +203,42 @@ class TestEvalExpr:
             ("", 1, 1),
             ("L([1])^²", 1, 8),
             pytest.param("1 + " + "9" * 5000, 1, 5, id="literal-over-digit-limit"),
+            pytest.param("(" * 3000 + "1" + ")" * 3000, 1, MAX_NESTING + 1,
+                         id="nesting-over-cap"),
+            pytest.param("V([0])^100000000", 1, 8, id="power-over-digit-limit"),
+            # 2^14285 has 4301 digits
+            pytest.param("V([0]) ^ 14285", 1, 10, id="power-one-digit-over"),
+            pytest.param("9^4000 * 9^4000", 1, 8, id="product-over-digit-limit"),
         ],
     )
     def test_expression_errors_have_positions(self, expr, line, col):
         with pytest.raises(ParseError) as err:
             eval_expr(self.rp4, expr)
         assert position(err) == (line, col)
+
+    def test_nesting_up_to_the_cap(self):
+        text = "(" * MAX_NESTING + "L([1])" + ")" * MAX_NESTING
+        assert eval_expr(self.rp4, text) == line_class(self.rp4, (1,))
+
+    def test_long_run_of_minus_signs(self):
+        assert eval_expr(self.rp4, "-" * 5001 + "L([1])") == -line_class(self.rp4, (1,))
+
+    def test_power_just_under_digit_limit(self):
+        # 2^14284 has 4300 digits, the interpreter's default limit
+        value = eval_expr(self.rp4, "V([0])^14284")
+        assert value == integer_class(self.rp4, 2**14284)
+        assert len(str(value.rank)) == 4300
+
+    def test_power_bound_covers_c2(self):
+        # on CP^2 the rank of (L + 1)^n has about 0.3 n digits and its c2
+        # about 0.6 n, so c2 is what passes the limit first, at n = 7131
+        ring = parse_ring("H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        value = eval_expr(ring, "(L([1]) + 1)^7130")
+        assert value == k_pow(ring, line_class(ring, (1,)) + 1, 7130)
+        assert len(str(value.c2[0])) == 4300
+        with pytest.raises(ParseError) as err:
+            eval_expr(ring, "(L([1]) + 1)^7131")
+        assert position(err) == (1, 14)
 
     def test_multiline_positions(self):
         with pytest.raises(ParseError) as err:

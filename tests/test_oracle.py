@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,9 @@ from kfour.cohomology import CohomologyRing, CupForm
 from kfour import oracle as oracle_module
 from kfour.kclasses import KClass, integer_class
 from kfour.oracle import (
+    Counterexample,
+    RelationCheck,
+    VerificationReport,
     oracle_compare,
     oracle_reduced_group,
     verify_relations,
@@ -149,6 +153,163 @@ class TestVerifyRingAxioms:
         report = verify_ring_axioms(rp4(), rank_range=(-1, 2))
         assert not report.ok
 
+
+class _ReferenceMemo(dict):
+    """The per-instance memo: one engine call per operand tuple."""
+
+    def __init__(self, op, ring, classes, intern):
+        super().__init__()
+        self.op, self.ring, self.classes, self.intern = op, ring, classes, intern
+
+    def __missing__(self, key):
+        operands = key if isinstance(key, tuple) else (key,)
+        result = self.op(self.ring, *(self.classes[i] for i in operands))
+        value = self[key] = self.intern(result)
+        return value
+
+
+def reference_ring_axioms(ring, rank_range=(-2, 2), samples=None, bound=3, seed=0):
+    """The ring-law check one instance at a time, as the differential oracle.
+
+    Every instance is its own tuple of class indices, every law a lambda on
+    one instance, and every sum, product and negative a tuple-keyed memo
+    lookup.  The engine functions are read from the oracle module here, so a
+    sabotaged engine reaches this path too.
+    """
+    lo, hi = rank_range
+    classes, index = [], {}
+
+    def intern(c):
+        i = index.setdefault((c.rank, c.c1, c.c2), len(classes))
+        if i == len(classes):
+            classes.append(c)
+        return i
+
+    if samples is None:
+        block = [intern(KClass(ring, rank, x, y)) for rank in range(lo, hi + 1)
+                 for x in ring.h2.elements() for y in ring.h4.elements()]
+
+        def cases(arity):
+            if arity == 3:
+                return itertools.product(block, repeat=3)
+            return itertools.combinations(block, arity)
+    else:
+        rng = random.Random(seed)
+
+        def random_element(group):
+            return group.canonical(rng.randint(-bound, bound) for _ in range(group.ngens))
+
+        def random_class():
+            return intern(KClass(ring, rng.randint(lo, hi),
+                                 random_element(ring.h2), random_element(ring.h4)))
+
+        triples = [(random_class(), random_class(), random_class())
+                   for _ in range(samples)]
+
+        def cases(arity):
+            return (triple[:arity] for triple in triples)
+
+    add, mul, neg = (_ReferenceMemo(op, ring, classes, intern) for op in
+                     (oracle_module.k_add, oracle_module.k_mul, oracle_module.k_neg))
+    zero = intern(integer_class(ring, 0))
+    one = intern(integer_class(ring, 1))
+    laws = (
+        ("add_commutative", "a + b = b + a", "ab",
+            lambda a, b: (add[a, b], add[b, a])),
+        ("add_identity", "a + 0 = a", "a", lambda a: (add[a, zero], a)),
+        ("add_inverse", "a + (-a) = 0", "a", lambda a: (add[a, neg[a]], zero)),
+        ("mul_commutative", "a b = b a", "ab", lambda a, b: (mul[a, b], mul[b, a])),
+        ("mul_identity", "a * 1 = a", "a", lambda a: (mul[a, one], a)),
+        ("add_associative", "(a + b) + c = a + (b + c)", "abc",
+            lambda a, b, c: (add[add[a, b], c], add[a, add[b, c]])),
+        ("mul_associative", "(a b) c = a (b c)", "abc",
+            lambda a, b, c: (mul[mul[a, b], c], mul[a, mul[b, c]])),
+        ("distributive", "a (b + c) = a b + a c", "abc",
+            lambda a, b, c: (mul[a, add[b, c]], add[mul[a, b], mul[a, c]])),
+    )
+    checks = []
+    for name, description, names, law in laws:
+        instances = failures = 0
+        examples = []
+        for case in cases(len(names)):
+            instances += 1
+            left, right = law(*case)
+            if left != right:
+                failures += 1
+                if len(examples) < oracle_module.MAX_COUNTEREXAMPLES:
+                    inputs = tuple(zip(names, (classes[i] for i in case)))
+                    examples.append(Counterexample(inputs, classes[left], classes[right]))
+        checks.append(RelationCheck(name, description, instances, failures,
+                                    tuple(examples)))
+    return VerificationReport(tuple(checks))
+
+
+def twisted_z4():
+    return make_ring(FgGroup(0, (4,)), FgGroup(0, (4,)), {(0, 0): (1,)})
+
+
+def mixed_80_class_ring():
+    return make_ring(FgGroup(0, (2, 2)), FgGroup(0, (4,)), {(0, 0): (2,), (0, 1): (2,)})
+
+
+def sabotaged_add(real):
+    def broken(ring, a, b):
+        c = real(ring, a, b)
+        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup(a.c1, a.c1)))
+    return broken
+
+
+def sabotaged_mul(real):
+    def broken(ring, a, b):
+        c = real(ring, a, b)
+        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup_square(a.c1)))
+    return broken
+
+
+def sabotaged_neg(real):
+    def broken(ring, a):
+        c = real(ring, a)
+        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup_square(c.c1)))
+    return broken
+
+
+class TestAxiomsMatchReference:
+    """The column-wise laws against the per-instance reference above."""
+
+    @pytest.mark.parametrize("ring", [rp4, twisted_z4, mixed_80_class_ring])
+    def test_exhaustive(self, monkeypatch, ring):
+        ring = ring()
+        assert ring.validate().ok
+        calls = {}
+        for op in ("k_add", "k_mul", "k_neg"):
+            def counted(*args, _op=op, _real=getattr(oracle_module, op)):
+                calls[_op] = calls.get(_op, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(oracle_module, op, counted)
+        report = verify_ring_axioms(ring)
+        new_calls = dict(calls)
+        calls.clear()
+        assert report.ok
+        assert report == reference_ring_axioms(ring)
+        # one engine call per distinct operand tuple, on either path
+        assert new_calls == calls
+        assert new_calls["k_neg"] == report.check("add_identity").instances
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sampled(self, seed):
+        report = verify_ring_axioms(cp2(), samples=200, seed=seed)
+        assert report.ok
+        assert report == reference_ring_axioms(cp2(), samples=200, seed=seed)
+
+    @pytest.mark.parametrize("op, sabotage", [
+        ("k_add", sabotaged_add), ("k_mul", sabotaged_mul), ("k_neg", sabotaged_neg),
+    ])
+    def test_sabotaged_engine(self, monkeypatch, op, sabotage):
+        monkeypatch.setattr(oracle_module, op, sabotage(getattr(oracle_module, op)))
+        for ring, kwargs in ((rp4(), {}), (cp2(), {"samples": 200, "seed": 3})):
+            report = verify_ring_axioms(ring, **kwargs)
+            assert not report.ok
+            assert report == reference_ring_axioms(ring, **kwargs)
 
 class TestOracleReducedGroup:
     def test_rp4(self):
