@@ -220,17 +220,18 @@ def _cmd_table(ring: CohomologyRing, args) -> int:
         raise _UsageError("table requires finite H^2 and H^4")
     if args.limit < 1:
         raise _UsageError("--limit must be >= 1")
+    count = 2 * ring.h2.order * ring.h4.order
+    if count > args.limit:
+        raise _UsageError(
+            f"{count} classes exceed the table limit {args.limit}; "
+            "raise it with --limit"
+        )
     classes = [
         KClass(ring, rank, x, y)
         for rank in (0, 1)
         for x in ring.h2.elements()
         for y in ring.h4.elements()
     ]
-    if len(classes) > args.limit:
-        raise _UsageError(
-            f"{len(classes)} classes exceed the table limit {args.limit}; "
-            "raise it with --limit"
-        )
     index = {(c.rank, c.c1, c.c2): i for i, c in enumerate(classes)}
 
     def cell(value: KClass) -> str:

@@ -3,7 +3,10 @@
 Only the degree-2 x degree-2 -> degree-4 part of the cup product carries
 information here; H^0 acts by integer scaling and every other product of
 positive-degree classes lands above the dimension of the space.  The pairing
-is stored on generators only and extended bilinearly on demand.
+is stored on generators only and extended bilinearly on demand: each ring
+flattens its nonzero entries into plain-int terms once, on first use, and a
+cup (like every K-class result built on it) is summed on raw ints and
+reduced once at the end.
 
 A ring value can always be constructed, even from mathematically inconsistent
 data; :func:`validate_ring` reports every violation, and all downstream
@@ -114,6 +117,31 @@ class InvalidRingError(ValueError):
         self.report = report
 
 
+def _moduli(group: FgGroup) -> tuple[int, ...]:
+    return (0,) * group.free_rank + group.torsion_orders
+
+
+def _add_cup(out: list[int], terms, a, b, p: int, q: int = 0, s: int = 0) -> None:
+    """Add sum over (i, j) of (p a_i b_j + q a_i a_j + s b_i b_j) e_ij to out.
+
+    ``out`` holds raw H^4 coordinates; nothing is reduced here.
+    """
+    for i, j, entry in terms:
+        w = p * a[i] * b[j]
+        if q:
+            w += q * a[i] * a[j]
+        if s:
+            w += s * b[i] * b[j]
+        if w:
+            for k, v in entry:
+                out[k] += w * v
+
+
+def _reduce(coords: Iterable[int], moduli: tuple[int, ...]) -> Element:
+    """Canonical form of raw coordinates: each torsion one taken mod its order."""
+    return tuple([c % m if m else c for c, m in zip(coords, moduli)])
+
+
 @dataclass(frozen=True)
 class CohomologyRing:
     """H^2, H^4 and the symmetric cup pairing H^2 x H^2 -> H^4."""
@@ -143,16 +171,10 @@ class CohomologyRing:
         """Bilinear extension of the generator table: sum of a_i b_j (e_i e_j)."""
         a = self.h2.canonical(a)
         b = self.h2.canonical(b)
-        total = self.h4.zero
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.cup_form.entries[i]
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                total = self.h4.add(total, self.h4.scale(ai * bj, row[j]))
-        return total
+        terms, _, h4_moduli = self._cup_kernel
+        total = [0] * len(h4_moduli)
+        _add_cup(total, terms, a, b, 1)
+        return _reduce(total, h4_moduli)
 
     def cup_square(self, a: Iterable[int]) -> Element:
         a = self.h2.canonical(a)
@@ -171,6 +193,23 @@ class CohomologyRing:
         # Computed once per ring object and kept in its __dict__, which a
         # frozen dataclass still allows, so the report dies with the ring.
         return _validate(self)
+
+    @cached_property
+    def _cup_kernel(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+        """The cup form as plain ints: (terms, H^2 moduli, H^4 moduli).
+
+        ``terms`` lists every nonzero entry e_ij as (i, j, ((k, coeff), ...))
+        over the H^4 coordinates k; the moduli give each coordinate's order,
+        with 0 marking a free one.  Built on first use and kept with the
+        ring, like the validation.
+        """
+        terms = tuple(
+            (i, j, tuple((k, v) for k, v in enumerate(entry) if v))
+            for i, row in enumerate(self.cup_form.entries)
+            for j, entry in enumerate(row)
+            if any(entry)
+        )
+        return terms, _moduli(self.h2), _moduli(self.h4)
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"

@@ -21,9 +21,10 @@ H^4 generators, integer literals are ASCII digits of any length the
 interpreter converts (a longer one is a ParseError), and ``^`` (non-negative
 integer exponent only) binds tighter than ``*``, which binds tighter than
 ``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep, and every
-value must stay printable: a power whose coordinates would pass the
-interpreter's digit limit is refused before it is computed, and any other
-operation whose result passes it is refused at its operator.
+value must stay printable, together with its decomposition n*1 + L(x) +
+V(y): a power whose coordinates would pass the interpreter's digit limit is
+refused before it is computed, and any other operation whose result passes
+it is refused at its operator.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .abelian import FgGroup
 from .cohomology import CohomologyRing, CupForm, validate_ring
 from .kclasses import (
     KClass,
+    decompose,
     integer_class,
     k_add,
     k_mul,
@@ -342,9 +344,14 @@ class _ExprParser:
         return self.too_big is None or max(map(abs, values)) < self.too_big
 
     def apply(self, op_tok: _Token, op, *operands: KClass) -> KClass:
-        """``op(ring, *operands)``, refused at its operator if it is unprintable."""
+        """``op(ring, *operands)``, refused at its operator if it is unprintable.
+
+        A value is printed with its decomposition n*1 + L(x) + V(y), whose
+        n = rank - 3 can pass the limit when the rank itself does not.
+        """
         value = op(self.ring, *operands)
-        if not self.fits(value.rank, *value.c1, *value.c2):
+        n, _, _ = decompose(self.ring, value)
+        if not self.fits(value.rank, n, *value.c1, *value.c2):
             raise ParseError(
                 f"result has a coordinate over {self.limit} digits",
                 op_tok.line,
@@ -422,7 +429,8 @@ class _ExprParser:
         q = x * x * sum(abs(v) for row in entries for e in row[:f2] for v in e[:f4])
         m = n * r ** (n - 1)
         k = n * (n - 1) // 2 * r ** (n - 2)
-        return self.fits(r**n, m * x, m * y + ((m * m + m) // 2 + k) * q)
+        # r^n + 3 bounds the decomposition's rank - 3 as well as the rank
+        return self.fits(r**n + 3, m * x, m * y + ((m * m + m) // 2 + k) * q)
 
     def atom(self) -> KClass:
         tok = self.next()

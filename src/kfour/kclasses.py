@@ -19,6 +19,10 @@ extends the products of the L and V generators to all virtual classes; the
 oracle module re-derives those generator products independently and checks
 the formula against them.
 
+Each operation sums every output coordinate as a raw integer over the ring's
+flattened cup terms and reduces it once, so its result is already canonical
+and is built without a second pass through the groups.
+
 Classes remember their ring, and every binary operation refuses operands
 from different rings.
 """
@@ -26,9 +30,10 @@ from different rings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .abelian import Element
-from .cohomology import CohomologyRing
+from .cohomology import CohomologyRing, _add_cup, _reduce
 
 __all__ = [
     "KClass",
@@ -118,9 +123,17 @@ class KClass:
         return k_pow(self.ring, self, exponent)
 
 
+def _canonical_class(ring: CohomologyRing, rank: int, c1: Element, c2: Element) -> KClass:
+    """A KClass from coordinates already in canonical form, which it keeps as given."""
+    value = object.__new__(KClass)
+    value.__dict__.update(ring=ring, rank=rank, c1=c1, c2=c2)
+    return value
+
+
 def _check_ring(ring: CohomologyRing, *classes: KClass) -> None:
     for c in classes:
-        if c.ring != ring:
+        # equal rings that are distinct objects still combine
+        if c.ring is not ring and c.ring != ring:
             raise MixedRingError(
                 "K-classes from different cohomology rings cannot be combined"
             )
@@ -148,40 +161,43 @@ def k_add(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     """Whitney sum: ranks and c1 add, c2 adds plus the cup cross term."""
     ring.require_valid()
     _check_ring(ring, a, b)
-    c2 = ring.h4.add(ring.h4.add(a.c2, b.c2), ring.cup(a.c1, b.c1))
-    return KClass(ring, a.rank + b.rank, ring.h2.add(a.c1, b.c1), c2)
+    terms, h2_moduli, h4_moduli = ring._cup_kernel
+    c2 = list(map(add, a.c2, b.c2))
+    _add_cup(c2, terms, a.c1, b.c1, 1)
+    c1 = _reduce(map(add, a.c1, b.c1), h2_moduli)
+    return _canonical_class(ring, a.rank + b.rank, c1, _reduce(c2, h4_moduli))
 
 
 def k_neg(ring: CohomologyRing, a: KClass) -> KClass:
-    """Additive inverse: (-rank, -c1, c1^2 - c2)."""
-    ring.require_valid()
-    _check_ring(ring, a)
-    h4 = ring.h4
-    c2 = h4.add(ring.cup_square(a.c1), h4.negate(a.c2))
-    return KClass(ring, -a.rank, ring.h2.negate(a.c1), c2)
+    """Additive inverse: (-rank, -c1, c1^2 - c2), the -1 multiple as T(-1) = 1."""
+    return k_scale(ring, -1, a)
 
 
 def k_scale(ring: CohomologyRing, n: int, a: KClass) -> KClass:
     """n-fold sum: (n rank, n c1, n c2 + T(n) c1^2)."""
     ring.require_valid()
     _check_ring(ring, a)
-    h4 = ring.h4
-    c2 = h4.add(h4.scale(n, a.c2), h4.scale(choose2(n), ring.cup_square(a.c1)))
-    return KClass(ring, n * a.rank, ring.h2.scale(n, a.c1), c2)
+    terms, h2_moduli, h4_moduli = ring._cup_kernel
+    c2 = [n * y for y in a.c2]
+    _add_cup(c2, terms, a.c1, a.c1, choose2(n))
+    c1 = _reduce([n * x for x in a.c1], h2_moduli)
+    return _canonical_class(ring, n * a.rank, c1, _reduce(c2, h4_moduli))
 
 
 def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
-    """Tensor product of stable classes, in closed Chern-coordinate form."""
+    """Tensor product of stable classes, in closed Chern-coordinate form.
+
+    c2 takes one pass over the cup terms, each weighted by
+    (ra rb - 1) a_i b_j + T(rb) a_i a_j + T(ra) b_i b_j.
+    """
     ring.require_valid()
     _check_ring(ring, a, b)
-    h2, h4 = ring.h2, ring.h4
+    terms, h2_moduli, h4_moduli = ring._cup_kernel
     ra, rb = a.rank, b.rank
-    c1 = h2.add(h2.scale(rb, a.c1), h2.scale(ra, b.c1))
-    c2 = h4.add(h4.scale(ra, b.c2), h4.scale(rb, a.c2))
-    c2 = h4.add(c2, h4.scale(ra * rb - 1, ring.cup(a.c1, b.c1)))
-    c2 = h4.add(c2, h4.scale(choose2(rb), ring.cup_square(a.c1)))
-    c2 = h4.add(c2, h4.scale(choose2(ra), ring.cup_square(b.c1)))
-    return KClass(ring, ra * rb, c1, c2)
+    c2 = [ra * y + rb * x for x, y in zip(a.c2, b.c2)]
+    _add_cup(c2, terms, a.c1, b.c1, ra * rb - 1, choose2(rb), choose2(ra))
+    c1 = _reduce([rb * x + ra * y for x, y in zip(a.c1, b.c1)], h2_moduli)
+    return _canonical_class(ring, ra * rb, c1, _reduce(c2, h4_moduli))
 
 
 def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:

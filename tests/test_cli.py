@@ -96,6 +96,18 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith("kfour: line 1, column 8: power too large")
 
+    def test_unprintable_decomposition_exits_2(self, capsys, rp4_file):
+        # the rank has 4300 digits, the printed n = rank - 3 would have 4301
+        code, out, err = run(capsys, "eval", rp4_file, "-" + "9" * 4300)
+        assert (code, out) == (2, "")
+        assert err.startswith("kfour: line 1, column 1: result has a coordinate over")
+
+    def test_decomposition_at_digit_limit_prints(self, capsys, rp4_file):
+        # n = -(10^4299 + 2) has 4300 digits, the most that print
+        code, out, _ = run(capsys, "eval", rp4_file, "-" + "9" * 4299)
+        assert code == 0
+        assert out.startswith("(-" + "9" * 4299 + ", [0], [0]) = -1" + "0" * 4298 + "2·1")
+
 
 @pytest.fixture(scope="module")
 def ring_files(tmp_path_factory):
@@ -189,6 +201,13 @@ class TestTable:
         assert code == 1
         assert "finite" in err
 
+    def test_limit_checked_before_listing_classes(self, capsys, tmp_path):
+        path = tmp_path / "big.ring"
+        path.write_text("H2 free 0 torsion 1000 1000 1000\nH4 free 0 torsion 1000 1000\n")
+        code, _, err = run(capsys, "table", str(path))
+        assert code == 1
+        assert err.startswith("kfour: error: 2000000000000000 classes exceed")
+
 
 class TestFmt:
     def test_canonicalizes(self, capsys, tmp_path):
@@ -243,3 +262,53 @@ class TestExitCodes:
         code, _, err = run(capsys, "structure", str(path))
         assert code == 2
         assert "order 2" in err
+
+
+_RING_INT = st.integers(0, 12).map(str)  # larger ones make structure slow
+_RING_TOKEN = _RING_INT | st.sampled_from(
+    ["format", "H2", "H4", "free", "torsion", "cup", "=", "#", "-", ",", "x", "1.5", "²"]
+)
+_GROUP_LINE = st.builds(
+    "{} free {} torsion {}".format,
+    st.sampled_from(["H2", "H4"]),
+    _RING_INT,
+    st.lists(_RING_INT, max_size=3).map(" ".join),
+)
+_RING_LINE = st.one_of(
+    st.lists(_RING_TOKEN, max_size=8).map(" ".join),
+    _GROUP_LINE,
+    st.builds(
+        "cup {} {} = {}".format,
+        _RING_INT,
+        _RING_INT,
+        st.lists(_RING_INT, max_size=3).map(" ".join),
+    ),
+    st.sampled_from(["", "format 1", "# comment"]),
+)
+# group declarations first, so that a fair share of inputs parse
+_RING_TEXT = st.builds(
+    lambda head, body: "\n".join(head + body),
+    st.lists(_GROUP_LINE, max_size=2),
+    st.lists(_RING_LINE, max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ring_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.ring"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["structure", "fmt", "table"]),
+    source=_RING_TEXT.map(str.encode) | st.binary(max_size=64),
+)
+def test_ring_file_fuzz_ends_with_an_exit_code(fuzz_ring_path, command, source):
+    # any ring file, as keyword text or as raw bytes, ends in a result or a
+    # diagnostic, never a traceback; verify is left out, since a large
+    # finite ring is unbounded work there
+    fuzz_ring_path.write_bytes(source)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(fuzz_ring_path)])
+    assert code in {0, 1, 2, 3}

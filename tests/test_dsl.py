@@ -209,6 +209,8 @@ class TestEvalExpr:
             # 2^14285 has 4301 digits
             pytest.param("V([0]) ^ 14285", 1, 10, id="power-one-digit-over"),
             pytest.param("9^4000 * 9^4000", 1, 8, id="product-over-digit-limit"),
+            # the rank fits, but the decomposition's n = rank - 3 has 4301 digits
+            pytest.param("-" + "9" * 4300, 1, 1, id="decomposition-over-digit-limit"),
         ],
     )
     def test_expression_errors_have_positions(self, expr, line, col):

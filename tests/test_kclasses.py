@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
+from operator import add
 
 import pytest
+from conftest import cup_entry_choices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -342,3 +345,290 @@ class TestOperators:
     def test_str(self):
         r = rp4()
         assert str(KClass(r, 0, (1,), (0,))) == "(0, [1], [0])"
+
+
+class TestMixedRings:
+    def test_equal_rings_from_distinct_objects_combine(self):
+        r, other = rp4(), rp4()
+        assert r is not other
+        a, b = line_class(r, (1,)), line_class(other, (1,))
+        assert k_add(r, a, b) == KClass(r, 2, (0,), (1,))
+        assert k_mul(other, a, b) == line_class(r, (0,))
+        assert k_neg(other, a) == KClass(r, -1, (1,), (1,))
+        assert k_scale(other, 2, a) == KClass(r, 2, (0,), (1,))
+
+    def test_every_operation_rejects_another_ring(self):
+        r = rp4()
+        a = line_class(cp2(), (1,))
+        for op in (
+            lambda: k_add(r, a, a),
+            lambda: k_mul(r, a, a),
+            lambda: k_neg(r, a),
+            lambda: k_scale(r, 3, a),
+            lambda: k_pow(r, a, 2),
+        ):
+            with pytest.raises(MixedRingError):
+                op()
+
+
+# The reduce-every-term engine, kept as the reference for the per-ring cup
+# kernel: each cup term, and each term of every result, goes through
+# FgGroup.add/scale and so is reduced on its own.
+
+
+def reference_cup(ring, a, b):
+    a = ring.h2.canonical(a)
+    b = ring.h2.canonical(b)
+    total = ring.h4.zero
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        row = ring.cup_form.entries[i]
+        for j, bj in enumerate(b):
+            if bj == 0:
+                continue
+            total = ring.h4.add(total, ring.h4.scale(ai * bj, row[j]))
+    return total
+
+
+def reference_cup_square(ring, a):
+    a = ring.h2.canonical(a)
+    return reference_cup(ring, a, a)
+
+
+def reference_add(ring, a, b):
+    c2 = ring.h4.add(ring.h4.add(a.c2, b.c2), reference_cup(ring, a.c1, b.c1))
+    return KClass(ring, a.rank + b.rank, ring.h2.add(a.c1, b.c1), c2)
+
+
+def reference_neg(ring, a):
+    h4 = ring.h4
+    c2 = h4.add(reference_cup_square(ring, a.c1), h4.negate(a.c2))
+    return KClass(ring, -a.rank, ring.h2.negate(a.c1), c2)
+
+
+def reference_scale(ring, n, a):
+    h4 = ring.h4
+    c2 = h4.add(h4.scale(n, a.c2), h4.scale(choose2(n), reference_cup_square(ring, a.c1)))
+    return KClass(ring, n * a.rank, ring.h2.scale(n, a.c1), c2)
+
+
+def reference_mul(ring, a, b):
+    h2, h4 = ring.h2, ring.h4
+    ra, rb = a.rank, b.rank
+    c1 = h2.add(h2.scale(rb, a.c1), h2.scale(ra, b.c1))
+    c2 = h4.add(h4.scale(ra, b.c2), h4.scale(rb, a.c2))
+    c2 = h4.add(c2, h4.scale(ra * rb - 1, reference_cup(ring, a.c1, b.c1)))
+    c2 = h4.add(c2, h4.scale(choose2(rb), reference_cup_square(ring, a.c1)))
+    c2 = h4.add(c2, h4.scale(choose2(ra), reference_cup_square(ring, b.c1)))
+    return KClass(ring, ra * rb, c1, c2)
+
+
+def reference_pow(ring, a, exponent):
+    result = integer_class(ring, 1)
+    for _ in range(exponent):
+        result = reference_mul(ring, result, a)
+    return result
+
+
+TORSION_ORDERS = st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)
+
+
+@st.composite
+def mixed_rings(draw):
+    """Valid rings with free and torsion parts in H^2 and H^4 alike."""
+    h2 = FgGroup(draw(st.integers(0, 2)), tuple(draw(TORSION_ORDERS)))
+    h4 = FgGroup(draw(st.integers(0, 2)), tuple(draw(TORSION_ORDERS)))
+    h4_torsion = FgGroup(0, h4.torsion_orders)
+    free_values = st.lists(
+        st.integers(-5, 5), min_size=h4.free_rank, max_size=h4.free_rank
+    )
+    pairs = {}
+    for i in range(h2.ngens):
+        for j in range(i, h2.ngens):
+            # a cup with a torsion generator is torsion, so its free part is 0
+            both_free = i < h2.free_rank and j < h2.free_rank
+            free = draw(free_values) if both_free else [0] * h4.free_rank
+            torsion = draw(st.sampled_from(cup_entry_choices(h2, h4_torsion, i, j)))
+            pairs[(i, j)] = (*free, *torsion)
+    ring = make_ring(h2, h4, pairs)
+    assert ring.validate().ok
+    return ring
+
+
+def coordinates(group, size=10**6):
+    return st.tuples(*[st.integers(-size, size)] * group.ngens)
+
+
+def classes(ring, size=10**6):
+    """Classes with ranks and coordinates up to size; torsion ones unreduced."""
+    return st.builds(
+        KClass,
+        st.just(ring),
+        st.integers(-size, size),
+        coordinates(ring.h2, size),
+        coordinates(ring.h4, size),
+    )
+
+
+def assert_canonical(value):
+    ring = value.ring
+    rebuilt = KClass(ring, value.rank, value.c1, value.c2)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    for group, coords in ((ring.h2, value.c1), (ring.h4, value.c2)):
+        assert type(coords) is tuple
+        for c, n in zip(coords[group.free_rank :], group.torsion_orders):
+            assert 0 <= c < n
+
+
+class TestCupKernelMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_engine_ops(self, data):
+        ring = data.draw(mixed_rings())
+        a = data.draw(classes(ring))
+        b = data.draw(classes(ring))
+        n = data.draw(st.integers(-10**6, 10**6))
+        exponent = data.draw(st.integers(0, 4))
+        pairs = [
+            (k_add(ring, a, b), reference_add(ring, a, b)),
+            (k_neg(ring, a), reference_neg(ring, a)),
+            (k_scale(ring, n, a), reference_scale(ring, n, a)),
+            (k_scale(ring, -1, b), reference_scale(ring, -1, b)),
+            (k_mul(ring, a, b), reference_mul(ring, a, b)),
+            (k_pow(ring, a, exponent), reference_pow(ring, a, exponent)),
+        ]
+        for value, expected in pairs:
+            assert value == expected
+            assert_canonical(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cup_and_cup_square(self, data):
+        ring = data.draw(mixed_rings())
+        x = data.draw(coordinates(ring.h2))
+        y = data.draw(coordinates(ring.h2))
+        assert ring.cup(x, y) == reference_cup(ring, x, y)
+        assert ring.cup(iter(x), list(y)) == reference_cup(ring, x, y)
+        square = ring.cup_square(iter(x))
+        assert square == reference_cup_square(ring, x)
+        assert type(square) is tuple
+        assert ring.h4.canonical(square) == square
+
+
+def five_generator_ring():
+    """H^2 = Z^3 + Z/2 + Z/4 and H^4 = Z^2 + Z/2, with every kind of cup entry."""
+    h2, h4 = FgGroup(3, (2, 4)), FgGroup(2, (2,))
+    pairs = {
+        (0, 0): (1, 0, 1), (0, 1): (2, -1, 0), (0, 2): (0, 1, 1), (1, 1): (0, 3, 1),
+        (1, 2): (1, 1, 0), (2, 2): (-2, 0, 1), (3, 3): (0, 0, 1), (3, 4): (0, 0, 1),
+        (4, 4): (0, 0, 1),
+    }
+    return make_ring(h2, h4, pairs)
+
+
+class TestReductionCount:
+    def test_engine_ops_reduce_nothing_twice(self, monkeypatch):
+        # each result coordinate is reduced once, inline; a FgGroup.canonical
+        # call would mean some term is reduced on its own again
+        ring = five_generator_ring()
+        a = KClass(ring, 3, (2, -1, 4, 1, 3), (5, -2, 1))
+        b = KClass(ring, -2, (-3, 2, 1, 1, 2), (1, 7, 0))
+        ring.require_valid()
+        calls = [0]
+        canonical = FgGroup.canonical
+
+        def counted(group, coeffs):
+            calls[0] += 1
+            return canonical(group, coeffs)
+
+        monkeypatch.setattr(FgGroup, "canonical", counted)
+        k_add(ring, a, b)
+        k_neg(ring, a)
+        k_scale(ring, -3, a)
+        k_mul(ring, a, b)
+        assert calls[0] == 0
+
+
+def chern_character(a):
+    """ch(a) = (rank, c1, (c1^2 - 2 c2)/2) over H^4 (x) Q, read from the cup form."""
+    square = form_cup(a.ring, a.c1, a.c1)
+    return (
+        Fraction(a.rank),
+        tuple(map(Fraction, a.c1)),
+        tuple(Fraction(s - 2 * y, 2) for s, y in zip(square, a.c2)),
+    )
+
+
+def form_cup(ring, x, y):
+    """x . y summed straight from the generator table, with no reduction."""
+    entries = ring.cup_form.entries
+    return [
+        sum(x[i] * y[j] * entries[i][j][k] for i in range(len(x)) for j in range(len(y)))
+        for k in range(ring.h4.ngens)
+    ]
+
+
+def ch_add(u, v):
+    (r, x, z), (rr, xx, zz) = u, v
+    return r + rr, tuple(map(add, x, xx)), tuple(map(add, z, zz))
+
+
+def ch_scale(n, u):
+    r, x, z = u
+    return n * r, tuple(n * p for p in x), tuple(n * p for p in z)
+
+
+def ch_mul(ring, u, v):
+    """(r, x, z)(r', x', z') = (r r', r x' + r' x, r z' + r' z + x.x') in even degrees."""
+    (r, x, z), (rr, xx, zz) = u, v
+    cross = form_cup(ring, x, xx)
+    return (
+        r * rr,
+        tuple(r * q + rr * p for p, q in zip(x, xx)),
+        tuple(r * q + rr * p + c for p, q, c in zip(z, zz, cross)),
+    )
+
+
+@st.composite
+def torsion_free_rings(draw):
+    p = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 2))
+    h2, h4 = FgGroup(p), FgGroup(q)
+    values = st.tuples(*[st.integers(-3, 3)] * q)
+    pairs = {(i, j): draw(values) for i in range(p) for j in range(i, p)}
+    return make_ring(h2, h4, pairs)
+
+
+def s2xs2():
+    return make_ring(FgGroup(2), FgGroup(1), {(0, 1): (1,)})
+
+
+class TestChernCharacter:
+    """On torsion-free rings ch is an injective ring map into H^even (x) Q, so
+    it checks every sum and product independently of the closed formula
+    (Atiyah-Hirzebruch 1961)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_ch_is_a_ring_homomorphism(self, data):
+        ring = data.draw(st.sampled_from([cp2(), s2xs2()]) | torsion_free_rings())
+        a = data.draw(classes(ring, 1000))
+        b = data.draw(classes(ring, 1000))
+        n = data.draw(st.integers(-1000, 1000))
+        u, v = chern_character(a), chern_character(b)
+        assert chern_character(k_add(ring, a, b)) == ch_add(u, v)
+        assert chern_character(k_mul(ring, a, b)) == ch_mul(ring, u, v)
+        assert chern_character(k_neg(ring, a)) == ch_scale(-1, u)
+        assert chern_character(k_scale(ring, n, a)) == ch_scale(n, u)
+        cube = ch_mul(ring, u, ch_mul(ring, u, u))
+        assert chern_character(k_pow(ring, a, 3)) == cube
+
+    def test_cp2_and_s2xs2_examples(self):
+        r = cp2()
+        L = line_class(r, (1,))
+        # ch(L) = e^x = 1 + x + x^2/2 with x^2 the generator of H^4
+        assert chern_character(L) == (1, (1,), (Fraction(1, 2),))
+        r = s2xs2()
+        product = k_mul(r, line_class(r, (1, 0)), line_class(r, (0, 1)))
+        assert chern_character(product) == (1, (1, 1), (1,))
