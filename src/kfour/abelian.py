@@ -9,7 +9,11 @@ overflow to guard against.
 The integer-matrix side provides Smith normal form with explicit unimodular
 witnesses, and the standard presentation solver: the abelian group presented
 by a relation matrix is its cokernel, whose invariant factors are read off
-the diagonal of the Smith form.
+the diagonal of a Smith form.  The solver keeps no witnesses: it first
+reduces the relation rows to a sparse row echelon form by exact gcd
+elimination, with no modulus, and takes the Smith form of that echelon,
+which has at most one row per generator.  The witnessed Smith normal form
+of the whole matrix is the reference it is tested against.
 
 Everything in this module is immutable and side-effect free, so any value
 may be shared freely across threads.
@@ -79,18 +83,8 @@ class FgGroup:
         return math.prod(self.torsion_orders)
 
     @property
-    def is_trivial(self) -> bool:
-        return self.ngens == 0
-
-    @property
     def zero(self) -> Element:
         return (0,) * self.ngens
-
-    def basis_element(self, i: int) -> Element:
-        """The i-th generator (0-based) as an element."""
-        if not 0 <= i < self.ngens:
-            raise ValueError(f"generator index {i} out of range for {self}")
-        return tuple(int(j == i) for j in range(self.ngens))
 
     def canonical(self, coeffs: Iterable[int]) -> Element:
         """Canonical form: torsion coordinates reduced into [0, order)."""
@@ -427,15 +421,73 @@ class GroupStructureReport:
         return self.describe()
 
 
+def _add_multiple(row: dict[int, int], k: int, other: dict[int, int]) -> None:
+    """row += k * other on sparse rows, in place, dropping entries that vanish."""
+    for j, e in other.items():
+        v = row.get(j, 0) + k * e
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
+
+
+def _echelon(relations: IntMatrix) -> list[dict[int, int]]:
+    """A row echelon basis of the row lattice of `relations`, as sparse rows.
+
+    Zero and duplicate rows are dropped.  Each remaining row is reduced,
+    column by column from the left, against the pivot rows found so far, by
+    exact unimodular gcd operations on pairs of rows, until it vanishes or
+    reaches a column without a pivot, where it becomes that column's pivot
+    row.  So the result spans the same lattice with at most `cols` rows.  No
+    modulus is used, and no witness is kept.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in dict.fromkeys(relations.entries):
+        row = {j: e for j, e in enumerate(entries) if e}
+        for col in range(relations.cols):
+            if col not in row:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            p, q = pivot[col], row[col]
+            if q % p:
+                # (pivot, row) <- (x pivot + y row, (p/g) row - (q/g) pivot),
+                # a unimodular step; y and p/g are nonzero since p does not
+                # divide q, so neither scaled row has a zero entry
+                g, x, y = _xgcd(p, q)
+                pivots[col] = {j: y * e for j, e in row.items()}
+                _add_multiple(pivots[col], x, pivot)
+                row = {j: p // g * e for j, e in row.items()}
+                _add_multiple(row, -(q // g), pivot)
+            else:
+                _add_multiple(row, -(q // p), pivot)
+    return [pivots[col] for col in sorted(pivots)]
+
+
 def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStructureReport:
-    """Invariant factors of Z^num_generators modulo the row span of `relations`."""
+    """Invariant factors of Z^num_generators modulo the row span of `relations`.
+
+    The rows are first brought to a sparse row echelon form by exact gcd
+    elimination (:func:`_echelon`), which has at most `num_generators` rows
+    and the same row lattice; the Smith normal form of that small echelon
+    gives the invariant factors.  The witnessed :func:`smith_normal_form` of
+    the whole matrix is the reference this is tested against.
+    """
     if num_generators < 0:
         raise ValueError("generator count must be non-negative")
     if relations.cols != num_generators:
         raise ValueError(
             f"relation matrix has {relations.cols} columns for {num_generators} generators"
         )
-    _, d, _ = smith_normal_form(relations)
+    echelon = _echelon(relations)
+    reduced = IntMatrix(
+        len(echelon),
+        num_generators,
+        tuple(tuple(row.get(j, 0) for j in range(num_generators)) for row in echelon),
+    )
+    _, d, _ = smith_normal_form(reduced)
     diag = d.diagonal_entries()
     rank = sum(1 for e in diag if e)
     factors = tuple(e for e in diag if e >= 2)

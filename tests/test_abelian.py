@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from conftest import BATTERY_SHAPES, all_valid_forms, make_ring
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kfour import oracle as oracle_module
 from kfour.abelian import (
     FgGroup,
     GroupStructureReport,
@@ -286,6 +288,80 @@ class TestGroupFromRelations:
                 assert rep.order == abs(det)
             else:
                 assert rep.free_rank > 0
+
+
+def snf_group(num_generators, m):
+    """The reference solver: the diagonal of the witnessed Smith form of all of m."""
+    diag = smith_normal_form(m)[1].diagonal_entries()
+    return GroupStructureReport(
+        num_generators - sum(1 for e in diag if e), tuple(e for e in diag if e >= 2)
+    )
+
+
+@st.composite
+def relation_matrices(draw):
+    """Dense or sparse matrices with entries up to 10^4 in absolute value,
+    zero rows, duplicate rows, rows that combine others (rank deficiency) and
+    zero columns (a free part), in any order; 0 rows and 0 columns included."""
+    cols = draw(st.integers(0, 6))
+    bound = draw(st.sampled_from((1, 5, 10**4)))
+    sparse = draw(st.booleans())
+
+    def entry():
+        if sparse and draw(st.integers(0, 3)):
+            return 0
+        return draw(st.integers(-bound, bound))
+
+    rows = [[entry() for _ in range(cols)] for _ in range(draw(st.integers(0, 6)))]
+    for j in draw(st.sets(st.integers(0, cols - 1))) if cols else ():
+        for row in rows:
+            row[j] = 0
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k, l = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([k * x + l * y for x, y in zip(a, b)])
+        rows += [list(row) for row in draw(st.lists(st.sampled_from(rows), max_size=3))]
+    rows += [[0] * cols for _ in range(draw(st.integers(0, 2)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return IntMatrix(len(rows), cols, rows)
+
+
+# the extra shapes of the verify-battery benchmark workload (bench/workloads.py)
+VERIFY_BATTERY_EXTRA_SHAPES = [
+    ((2,), (2, 2, 2)), ((2, 2, 2), (2,)), ((3,), (3, 3)), ((3, 3), (3,)),
+    ((4,), (8,)), ((8,), (4,)), ((6,), (6,)), ((2, 4), (2,)), ((2,), (2, 4)),
+    ((6,), (3,)), ((3,), (6,)), ((5,), (5,)),
+]
+
+
+class TestGroupFromRelationsAgainstSmithForm:
+    """The echelon solver against the witnessed Smith form of the whole matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(relation_matrices())
+    @example(IntMatrix.zeros(0, 0))
+    @example(IntMatrix.zeros(0, 4))
+    @example(IntMatrix.zeros(3, 0))
+    @example(IntMatrix.from_rows([[6, 4, 0], [6, 4, 0], [0, 0, 0], [-9, 3, 0], [0, 0, 0]]))
+    def test_random_matrices(self, m):
+        assert group_from_relations(m.cols, m) == snf_group(m.cols, m)
+
+    @pytest.mark.parametrize("t2, t4", BATTERY_SHAPES + VERIFY_BATTERY_EXTRA_SHAPES)
+    def test_oracle_matrices(self, monkeypatch, t2, t4):
+        h2, h4 = FgGroup(0, t2), FgGroup(0, t4)
+        form = random.Random(repr((t2, t4))).choice(list(all_valid_forms(h2, h4)))
+        seen = []
+
+        def recorded(num_generators, relations):
+            seen.append((num_generators, relations))
+            return group_from_relations(num_generators, relations)
+
+        monkeypatch.setattr(oracle_module, "group_from_relations", recorded)
+        report = oracle_module.oracle_reduced_group(make_ring(h2, h4, form))
+        [(width, m)] = seen
+        assert report == snf_group(width, m)
+        assert report.order == h2.order * h4.order
 
 
 def _invariant_factors_by_crt(orders):

@@ -161,6 +161,21 @@ class TestVerify:
         assert code == 1
         assert "bound" in err
 
+    def test_relations_evaluated_once(self, capsys, rp4_file, monkeypatch):
+        calls = [0]
+        real = oracle_module.k_mul
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle_module, "k_mul", counted)
+        code, _, _ = run(capsys, "verify", rp4_file)
+        assert code == 0
+        # relations 2, 5 and 6 take one product per instance, 4 instances each
+        # on RP^4; evaluating them again for the oracle would make 24
+        assert calls[0] == 12
+
     def test_failure_exits_3(self, capsys, rp4_file, monkeypatch):
         def broken_mul(ring, a, b):
             return KClass(ring, a.rank * b.rank, a.c1, a.c2)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kfour import abelian as abelian_module
 from kfour.abelian import FgGroup, GroupStructureReport, InfiniteGroupError
 from kfour.cohomology import CohomologyRing, CupForm
 from kfour import oracle as oracle_module
@@ -266,6 +267,11 @@ def twisted_z4():
     return make_ring(FgGroup(0, (4,)), FgGroup(0, (4,)), {(0, 0): (1,)})
 
 
+def z4_z4():
+    h = FgGroup(0, (4, 4))
+    return make_ring(h, h, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (1, 1)})
+
+
 def mixed_80_class_ring():
     return make_ring(FgGroup(0, (2, 2)), FgGroup(0, (4,)), {(0, 0): (2,), (0, 1): (2,)})
 
@@ -341,9 +347,31 @@ class TestOracleReducedGroup:
         ring = make_ring(FgGroup(), FgGroup())
         assert oracle_reduced_group(ring) == GroupStructureReport(0, ())
 
-    def test_infinite_rejected(self):
+    def test_infinite_rejected(self, monkeypatch):
         with pytest.raises(InfiniteGroupError):
             oracle_reduced_group(cp2())
+        # oracle_compare refuses before evaluating any relation over a box
+        monkeypatch.setattr(oracle_module, "verify_relations", None)
+        with pytest.raises(InfiniteGroupError):
+            oracle_compare(cp2())
+
+    def test_smith_form_sees_only_the_echelon(self, monkeypatch):
+        # 1278 relation rows over 1 + 25 + 25 = 51 formal generators; the
+        # witnessed Smith form gets the echelon, at most one row per generator
+        h = FgGroup(0, (5, 5))
+        ring = make_ring(h, h, {(0, 0): (1, 2), (0, 1): (3, 0), (1, 1): (0, 4)})
+        shapes = []
+        real = abelian_module.smith_normal_form
+
+        def counted(m):
+            shapes.append((m.rows, m.cols))
+            return real(m)
+
+        monkeypatch.setattr(abelian_module, "smith_normal_form", counted)
+        assert oracle_reduced_group(ring) == GroupStructureReport(0, (5, 5, 5, 5))
+        [(rows, cols)] = shapes
+        assert cols == 51
+        assert rows <= 51
 
 
 class TestOracleCompare:
@@ -381,6 +409,18 @@ class TestOracleCompare:
             result = oracle_compare(ring)
             assert result.ok
             assert oracle_reduced_group(ring) == reduced_k_structure(ring)
+
+    @pytest.mark.parametrize("ring", [rp4, twisted_z4, z4_z4])
+    @pytest.mark.parametrize("sabotage", [False, True])
+    def test_shared_relation_report(self, monkeypatch, ring, sabotage):
+        if sabotage:
+            monkeypatch.setattr(oracle_module, "k_mul", sabotaged_mul(oracle_module.k_mul))
+        ring = ring()
+        result = oracle_module._compare(ring, verify_relations(ring))
+        assert result == oracle_compare(ring)
+        assert result.ok is not sabotage
+        assert [c.name for c in result.additive.checks] == ["1", "3", "4", "7"]
+        assert [c.name for c in result.multiplicative.checks] == ["2", "5", "6"]
 
     def test_structure_mismatch_detected(self, monkeypatch):
         # sabotage the twisted-extension side; the comparison must notice
