@@ -482,10 +482,11 @@ def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStru
             f"relation matrix has {relations.cols} columns for {num_generators} generators"
         )
     echelon = _echelon(relations)
+    # columns in no echelon row add only free rank, so the Smith form is
+    # taken of the others
+    cols = sorted({j for row in echelon for j in row})
     reduced = IntMatrix(
-        len(echelon),
-        num_generators,
-        tuple(tuple(row.get(j, 0) for j in range(num_generators)) for row in echelon),
+        len(echelon), len(cols), tuple(tuple(row.get(j, 0) for j in cols) for row in echelon)
     )
     _, d, _ = smith_normal_form(reduced)
     diag = d.diagonal_entries()

@@ -3,14 +3,16 @@
 Only the degree-2 x degree-2 -> degree-4 part of the cup product carries
 information here; H^0 acts by integer scaling and every other product of
 positive-degree classes lands above the dimension of the space.  The pairing
-is stored on generators only and extended bilinearly on demand: each ring
-flattens its nonzero entries into plain-int terms once, on first use, and a
-cup (like every K-class result built on it) is summed on raw ints and
-reduced once at the end.
+is stored as its nonzero values on pairs of generators only, reduced once
+when the ring is built, and extended bilinearly on demand: each ring
+flattens those values into plain-int terms once, on first use, and a cup
+(like every K-class result built on it) is summed on raw ints and reduced
+once at the end.
 
 A ring value can always be constructed, even from mathematically inconsistent
-data; :func:`validate_ring` reports every violation, and all downstream
-computations insist on a clean report first.
+data; :func:`validate_ring` reports every violation.  A K-class cannot be
+built over an invalid ring, and the ring-level entry points, which take a
+ring and no class, check it themselves.
 """
 
 from __future__ import annotations
@@ -33,21 +35,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CupForm:
-    """Values of the cup pairing on ordered pairs of H^2 generators.
+    """The cup pairing on ordered pairs of H^2 generators, by its nonzero values.
 
-    entries[i][j] is the H^4 element (generator i) * (generator j), as a
-    canonical coefficient tuple over the H^4 generators.
+    ``size`` is the number of H^2 generators and ``rank`` the number of H^4
+    coordinates.  ``pairs`` is a sorted tuple of ((i, j), coefficients), one
+    for each ordered pair of 0-based generators whose product is nonzero, the
+    product given over the H^4 generators; every pair not listed is zero.
+    Pairs are ordered, so a form built directly may be asymmetric, which
+    validation reports.  A ring keeps its form canonical: each coefficient
+    tuple reduced, and no pair whose product reduces to zero.
     """
 
-    entries: tuple[tuple[Element, ...], ...]
+    size: int
+    rank: int
+    pairs: tuple[tuple[tuple[int, int], Element], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(tuple(e) for e in row) for row in self.entries)
-        )
-        for row in self.entries:
-            if len(row) != len(self.entries):
-                raise ValueError("cup table must be square")
+        pairs = tuple(sorted(((i, j), tuple(coeffs)) for (i, j), coeffs in self.pairs))
+        object.__setattr__(self, "pairs", pairs)
+        for (i, j), coeffs in pairs:
+            if not (0 <= i < self.size and 0 <= j < self.size and len(coeffs) == self.rank):
+                raise ValueError(f"cup entry {(i, j)}: {coeffs} is not in the form's shape")
+        if len(dict(pairs)) != len(pairs):
+            raise ValueError("an ordered pair of generators has two cup entries")
 
     @classmethod
     def from_pairs(
@@ -56,13 +66,12 @@ class CupForm:
         h4: FgGroup,
         pairs: Mapping[tuple[int, int], Iterable[int]] | None = None,
     ) -> CupForm:
-        """Build a symmetric table from 0-based {(i, j): coefficients}.
+        """Build a symmetric form from 0-based {(i, j): coefficients}.
 
         Missing pairs are zero; giving (i, j) also fills (j, i).  Two entries
         for the same unordered pair must agree.
         """
         p = h2.ngens
-        table: list[list[Element]] = [[h4.zero] * p for _ in range(p)]
         seen: dict[tuple[int, int], Element] = {}
         for (i, j), coeffs in (pairs or {}).items():
             if not (0 <= i < p and 0 <= j < p):
@@ -72,16 +81,13 @@ class CupForm:
             if key in seen and seen[key] != value:
                 raise ValueError(f"conflicting cup entries for generators {key}")
             seen[key] = value
-            table[i][j] = value
-            table[j][i] = value
-        return cls(tuple(tuple(row) for row in table))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
+        nonzero = [((i, j), v) for (i, j), v in seen.items() if any(v)]
+        nonzero += [((j, i), v) for (i, j), v in nonzero if i != j]
+        return cls(p, h4.ngens, tuple(nonzero))
 
     def entry(self, i: int, j: int) -> Element:
-        return self.entries[i][j]
+        """The product of generators i and j, found by a scan of ``pairs``."""
+        return dict(self.pairs).get((i, j), (0,) * self.rank)
 
 
 @dataclass(frozen=True)
@@ -151,17 +157,19 @@ class CohomologyRing:
     cup_form: CupForm
 
     def __post_init__(self) -> None:
-        if self.cup_form.size != self.h2.ngens:
+        form = self.cup_form
+        if (form.size, form.rank) != (self.h2.ngens, self.h4.ngens):
             raise ValueError(
-                f"cup table is {self.cup_form.size}x{self.cup_form.size} "
-                f"but H^2 has {self.h2.ngens} generators"
+                f"cup form on {form.size} generators with {form.rank} coordinates, "
+                f"but H^2 has {self.h2.ngens} generators and H^4 {self.h4.ngens}"
             )
-        # canonicalize entries so equality of rings is well defined
-        canonical = tuple(
-            tuple(self.h4.canonical(e) for e in row) for row in self.cup_form.entries
-        )
-        if canonical != self.cup_form.entries:
-            object.__setattr__(self, "cup_form", CupForm(canonical))
+        # reduce the given entries and drop those that vanish, so that
+        # equality of rings is well defined
+        moduli = _moduli(self.h4)
+        reduced = ((key, _reduce(coeffs, moduli)) for key, coeffs in form.pairs)
+        pairs = tuple((key, value) for key, value in reduced if any(value))
+        if pairs != form.pairs:
+            object.__setattr__(self, "cup_form", CupForm(form.size, form.rank, pairs))
 
     @property
     def is_finite(self) -> bool:
@@ -169,15 +177,15 @@ class CohomologyRing:
 
     def cup(self, a: Iterable[int], b: Iterable[int]) -> Element:
         """Bilinear extension of the generator table: sum of a_i b_j (e_i e_j)."""
-        a = self.h2.canonical(a)
-        b = self.h2.canonical(b)
+        x = self.h2.canonical(a)
+        # a square reads its argument once, which may be an iterator
+        y = x if b is a else self.h2.canonical(b)
         terms, _, h4_moduli = self._cup_kernel
         total = [0] * len(h4_moduli)
-        _add_cup(total, terms, a, b, 1)
+        _add_cup(total, terms, x, y, 1)
         return _reduce(total, h4_moduli)
 
     def cup_square(self, a: Iterable[int]) -> Element:
-        a = self.h2.canonical(a)
         return self.cup(a, a)
 
     def validate(self) -> ValidationReport:
@@ -205,9 +213,7 @@ class CohomologyRing:
         """
         terms = tuple(
             (i, j, tuple((k, v) for k, v in enumerate(entry) if v))
-            for i, row in enumerate(self.cup_form.entries)
-            for j, entry in enumerate(row)
-            if any(entry)
+            for (i, j), entry in self.cup_form.pairs
         )
         return terms, _moduli(self.h2), _moduli(self.h4)
 
@@ -217,32 +223,31 @@ class CohomologyRing:
 
 def _validate(ring: CohomologyRing) -> ValidationReport:
     issues: list[ValidationIssue] = []
-    h2, h4, table = ring.h2, ring.h4, ring.cup_form.entries
-    p = h2.ngens
-    for i in range(p):
-        for j in range(i + 1, p):
-            if table[i][j] != table[j][i]:
-                issues.append(
-                    ValidationIssue(
-                        "symmetry",
-                        i,
-                        j,
-                        f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ",
-                    )
+    pairs = ring.cup_form.pairs
+    table = dict(pairs)
+    asymmetric = {(min(i, j), max(i, j)) for (i, j), e in pairs if table.get((j, i)) != e}
+    for i, j in sorted(asymmetric):
+        issues.append(
+            ValidationIssue(
+                "symmetry",
+                i,
+                j,
+                f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ",
+            )
+        )
+    h2_moduli, h4_moduli = _moduli(ring.h2), _moduli(ring.h4)
+    for (i, j), e in pairs:
+        n = h2_moduli[i]
+        if n and any(_reduce([n * v for v in e], h4_moduli)):
+            issues.append(
+                ValidationIssue(
+                    "torsion",
+                    i,
+                    j,
+                    f"generator {i + 1} of H^2 has order {n} but "
+                    f"{n} * cup({i + 1}, {j + 1}) is nonzero in H^4",
                 )
-    for k, n in enumerate(h2.torsion_orders):
-        i = h2.free_rank + k
-        for j in range(p):
-            if h4.scale(n, table[i][j]) != h4.zero:
-                issues.append(
-                    ValidationIssue(
-                        "torsion",
-                        i,
-                        j,
-                        f"generator {i + 1} of H^2 has order {n} but "
-                        f"{n} * cup({i + 1}, {j + 1}) is nonzero in H^4",
-                    )
-                )
+            )
     return ValidationReport(tuple(issues))
 
 

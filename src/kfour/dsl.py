@@ -256,13 +256,10 @@ def serialize_ring(ring: CohomologyRing) -> str:
         group_line("H2", ring.h2),
         group_line("H4", ring.h4),
     ]
-    p = ring.h2.ngens
-    for i in range(p):
-        for j in range(i, p):
-            entry = ring.cup_form.entry(i, j)
-            if entry != ring.h4.zero:
-                coords = " ".join(str(c) for c in entry)
-                lines.append(f"cup {i + 1} {j + 1} = {coords}".rstrip())
+    for (i, j), entry in ring.cup_form.pairs:
+        if i <= j:
+            coords = " ".join(str(c) for c in entry)
+            lines.append(f"cup {i + 1} {j + 1} = {coords}")
     return "\n".join(lines) + "\n"
 
 
@@ -425,8 +422,8 @@ class _ExprParser:
         f2, f4 = self.ring.h2.free_rank, self.ring.h4.free_rank
         x = max(map(abs, a.c1[:f2]), default=0)
         y = max(map(abs, a.c2[:f4]), default=0)
-        entries = self.ring.cup_form.entries[:f2]
-        q = x * x * sum(abs(v) for row in entries for e in row[:f2] for v in e[:f4])
+        pairs = self.ring.cup_form.pairs
+        q = x * x * sum(abs(v) for (i, j), e in pairs if i < f2 and j < f2 for v in e[:f4])
         m = n * r ** (n - 1)
         k = n * (n - 1) // 2 * r ** (n - 2)
         # r^n + 3 bounds the decomposition's rank - 3 as well as the rank

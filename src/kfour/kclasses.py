@@ -24,7 +24,8 @@ flattened cup terms and reduces it once, so its result is already canonical
 and is built without a second pass through the groups.
 
 Classes remember their ring, and every binary operation refuses operands
-from different rings.
+from different rings.  A class can only be built over a valid ring, so the
+operations, whose operands are classes, do not check the ring again.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class KClass:
     c2: Element
 
     def __post_init__(self) -> None:
+        self.ring.require_valid()
         object.__setattr__(self, "c1", self.ring.h2.canonical(self.c1))
         object.__setattr__(self, "c2", self.ring.h4.canonical(self.c2))
 
@@ -124,7 +126,7 @@ class KClass:
 
 
 def _canonical_class(ring: CohomologyRing, rank: int, c1: Element, c2: Element) -> KClass:
-    """A KClass from coordinates already in canonical form, which it keeps as given."""
+    """An engine result: canonical coordinates, kept as given, over a class's valid ring."""
     value = object.__new__(KClass)
     value.__dict__.update(ring=ring, rank=rank, c1=c1, c2=c2)
     return value
@@ -141,25 +143,21 @@ def _check_ring(ring: CohomologyRing, *classes: KClass) -> None:
 
 def integer_class(ring: CohomologyRing, n: int) -> KClass:
     """n copies of the trivial line bundle: the class (n, 0, 0)."""
-    ring.require_valid()
     return KClass(ring, n, ring.h2.zero, ring.h4.zero)
 
 
 def line_class(ring: CohomologyRing, x) -> KClass:
     """The line bundle with first Chern class x: the class (1, x, 0)."""
-    ring.require_valid()
-    return KClass(ring, 1, ring.h2.canonical(x), ring.h4.zero)
+    return KClass(ring, 1, x, ring.h4.zero)
 
 
 def rank2_class(ring: CohomologyRing, y) -> KClass:
     """The rank-2 bundle with c1 = 0 and c2 = y: the class (2, 0, y)."""
-    ring.require_valid()
-    return KClass(ring, 2, ring.h2.zero, ring.h4.canonical(y))
+    return KClass(ring, 2, ring.h2.zero, y)
 
 
 def k_add(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     """Whitney sum: ranks and c1 add, c2 adds plus the cup cross term."""
-    ring.require_valid()
     _check_ring(ring, a, b)
     terms, h2_moduli, h4_moduli = ring._cup_kernel
     c2 = list(map(add, a.c2, b.c2))
@@ -175,7 +173,6 @@ def k_neg(ring: CohomologyRing, a: KClass) -> KClass:
 
 def k_scale(ring: CohomologyRing, n: int, a: KClass) -> KClass:
     """n-fold sum: (n rank, n c1, n c2 + T(n) c1^2)."""
-    ring.require_valid()
     _check_ring(ring, a)
     terms, h2_moduli, h4_moduli = ring._cup_kernel
     c2 = [n * y for y in a.c2]
@@ -190,7 +187,6 @@ def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     c2 takes one pass over the cup terms, each weighted by
     (ra rb - 1) a_i b_j + T(rb) a_i a_j + T(ra) b_i b_j.
     """
-    ring.require_valid()
     _check_ring(ring, a, b)
     terms, h2_moduli, h4_moduli = ring._cup_kernel
     ra, rb = a.rank, b.rank
@@ -204,7 +200,6 @@ def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
     """Non-negative integer power by repeated squaring."""
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
-    ring.require_valid()
     _check_ring(ring, a)
     result = integer_class(ring, 1)
     base = a
@@ -223,7 +218,6 @@ def decompose(ring: CohomologyRing, a: KClass) -> tuple[int, Element, Element]:
 
     Recombining through k_scale/k_add reproduces the class exactly.
     """
-    ring.require_valid()
     _check_ring(ring, a)
     return a.rank - 3, a.c1, a.c2
 

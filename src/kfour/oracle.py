@@ -315,10 +315,8 @@ def verify_ring_axioms(
     else:
         rng = random.Random(seed)
 
-        def random_element(group: FgGroup) -> Element:
-            return group.canonical(
-                rng.randint(-bound, bound) for _ in range(group.ngens)
-            )
+        def random_element(group: FgGroup) -> list[int]:
+            return [rng.randint(-bound, bound) for _ in range(group.ngens)]
 
         def random_class() -> int:
             rank = rng.randint(lo, hi)

@@ -32,9 +32,10 @@ def _twisted_relations(ring: CohomologyRing) -> IntMatrix:
         row = [0] * (p + q)
         row[p + ring.h4.free_rank + k] = m
         rows.append(row)
+    cup = dict(ring.cup_form.pairs)
     for k, n in enumerate(ring.h2.torsion_orders):
         i = ring.h2.free_rank + k
-        square = ring.cup_form.entry(i, i)
+        square = cup.get((i, i), ring.h4.zero)
         row = [0] * (p + q)
         row[i] = n
         t = choose2(n)

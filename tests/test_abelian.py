@@ -7,6 +7,7 @@ from conftest import BATTERY_SHAPES, all_valid_forms, make_ring
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kfour import abelian as abelian_module
 from kfour import oracle as oracle_module
 from kfour.abelian import (
     FgGroup,
@@ -362,6 +363,19 @@ class TestGroupFromRelationsAgainstSmithForm:
         [(width, m)] = seen
         assert report == snf_group(width, m)
         assert report.order == h2.order * h4.order
+
+    def test_unused_generators_skip_the_smith_form(self, monkeypatch):
+        # columns in no relation only add free rank: no relations on 1001
+        # generators need an empty Smith form, not a 1001 x 1001 witness
+        shapes = []
+
+        def recorded(m):
+            shapes.append((m.rows, m.cols))
+            return smith_normal_form(m)
+
+        monkeypatch.setattr(abelian_module, "smith_normal_form", recorded)
+        assert group_from_relations(1001, IntMatrix.zeros(0, 1001)) == GroupStructureReport(1001)
+        assert shapes == [(0, 0)]
 
 
 def _invariant_factors_by_crt(orders):

@@ -3,7 +3,7 @@ import itertools
 import weakref
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfour.abelian import FgGroup
@@ -11,6 +11,8 @@ from kfour.cohomology import (
     CohomologyRing,
     CupForm,
     InvalidRingError,
+    ValidationIssue,
+    ValidationReport,
     validate_ring,
 )
 from kfour.kclasses import k_mul, line_class
@@ -50,7 +52,7 @@ class TestValidation:
     def test_symmetry_violation(self):
         h2 = FgGroup(0, (2, 2))
         h4 = FgGroup(0, (2,))
-        table = CupForm((((0,), (1,)), ((0,), (0,))))
+        table = CupForm(2, 1, (((0, 1), (1,)),))
         report = validate_ring(CohomologyRing(h2, h4, table))
         assert [issue.kind for issue in report.issues] == ["symmetry"]
 
@@ -69,11 +71,13 @@ class TestValidation:
 
     def test_table_size_checked(self):
         with pytest.raises(ValueError):
-            CohomologyRing(FgGroup(0, (2,)), FgGroup(0, (2,)), CupForm(()))
+            CohomologyRing(FgGroup(0, (2,)), FgGroup(0, (2,)), CupForm(0, 1, ()))
 
     def test_entry_length_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            CohomologyRing(FgGroup(0, (2,)), FgGroup(0, (2, 2)), CupForm((((1,),),)))
+            CohomologyRing(
+                FgGroup(0, (2,)), FgGroup(0, (2, 2)), CupForm(1, 2, (((0, 0), (1,)),))
+            )
 
     def test_validated_ring_is_not_kept_alive(self):
         # a shape no other test builds, so that no equal ring used earlier
@@ -158,3 +162,116 @@ class TestCup:
         assert validate_ring(ring).ok
         assert not ring.is_finite
         assert ring.cup((), ()) == (0,)
+
+
+class TestDirectForms:
+    def test_malformed_forms_rejected(self):
+        with pytest.raises(ValueError):
+            CupForm(1, 1, (((0, 1), (1,)),))
+        with pytest.raises(ValueError):
+            CupForm(2, 1, (((0, 1), (1,)), ((0, 1), (1,))))
+        with pytest.raises(ValueError):
+            CohomologyRing(FgGroup(0, (2,)), FgGroup(0, (2, 2)), CupForm(1, 1, ()))
+
+
+# The dense validation and canonicalisation of the cup table, kept as the
+# reference for the sparse ones: every one of the p^2 ordered pairs is read,
+# zeros included, and each entry is reduced by FgGroup.canonical.
+
+
+def reference_table(h2, h4, pairs):
+    table = [[h4.zero] * h2.ngens for _ in range(h2.ngens)]
+    for (i, j), coeffs in pairs.items():
+        table[i][j] = h4.canonical(coeffs)
+    return table
+
+
+def reference_validate(h2, h4, table):
+    issues = []
+    p = h2.ngens
+    for i in range(p):
+        for j in range(i + 1, p):
+            if table[i][j] != table[j][i]:
+                issues.append(
+                    ValidationIssue(
+                        "symmetry",
+                        i,
+                        j,
+                        f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ",
+                    )
+                )
+    for k, n in enumerate(h2.torsion_orders):
+        i = h2.free_rank + k
+        for j in range(p):
+            if h4.scale(n, table[i][j]) != h4.zero:
+                issues.append(
+                    ValidationIssue(
+                        "torsion",
+                        i,
+                        j,
+                        f"generator {i + 1} of H^2 has order {n} but "
+                        f"{n} * cup({i + 1}, {j + 1}) is nonzero in H^4",
+                    )
+                )
+    return ValidationReport(tuple(issues))
+
+
+ORDERS = st.lists(st.sampled_from([2, 3, 4]), max_size=2)
+
+
+def moduli(group):
+    return (0,) * group.free_rank + group.torsion_orders
+
+
+def unreduced(draw, value, group):
+    """value with each torsion coordinate moved by a multiple of its order."""
+    return tuple(v + m * draw(st.integers(-2, 2)) for v, m in zip(value, moduli(group)))
+
+
+@st.composite
+def raw_pairs(draw, h2, h4):
+    """Ordered pairs with unreduced values, each one-sided or mirrored by the
+    same value, the same value unreduced, or another value; many are zero."""
+    if not h2.ngens:
+        return {}
+    index = st.integers(0, h2.ngens - 1)
+    values = st.tuples(*[st.integers(-4, 4)] * h4.ngens)
+    pairs = {}
+    for (i, j), value in draw(st.dictionaries(st.tuples(index, index), values, max_size=5)).items():
+        pairs[(i, j)] = value
+        mirror = draw(st.sampled_from(["none", "same", "unreduced", "other"]))
+        if mirror == "same":
+            pairs[(j, i)] = value
+        elif mirror == "unreduced":
+            pairs[(j, i)] = unreduced(draw, value, h4)
+        elif mirror == "other":
+            pairs[(j, i)] = draw(values)
+    return pairs
+
+
+class TestSparseFormMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_validation_and_equality(self, data):
+        h2 = FgGroup(data.draw(st.integers(0, 2)), tuple(data.draw(ORDERS)))
+        h4 = FgGroup(data.draw(st.integers(0, 2)), tuple(data.draw(ORDERS)))
+        pairs = data.draw(raw_pairs(h2, h4))
+        ring = CohomologyRing(h2, h4, CupForm(h2.ngens, h4.ngens, tuple(pairs.items())))
+        table = reference_table(h2, h4, pairs)
+        assert ring.validate() == reference_validate(h2, h4, table)
+        # the same table written another way: values moved by multiples of
+        # their orders, explicit zeros added, pairs listed in another order
+        rewritten = {key: unreduced(data.draw, v, h4) for key, v in reversed(pairs.items())}
+        if h2.ngens:
+            index = st.integers(0, h2.ngens - 1)
+            for i, j in data.draw(st.lists(st.tuples(index, index), max_size=2)):
+                if not any(table[i][j]):
+                    rewritten[(i, j)] = moduli(h4)
+        for other_pairs in (rewritten, data.draw(raw_pairs(h2, h4))):
+            other = CohomologyRing(
+                h2, h4, CupForm(h2.ngens, h4.ngens, tuple(other_pairs.items()))
+            )
+            same = reference_table(h2, h4, other_pairs) == table
+            assert (other == ring) == same
+            if same:
+                assert hash(other) == hash(ring)

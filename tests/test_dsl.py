@@ -118,6 +118,24 @@ class TestParseRing:
         source = "\n\n# intro\nH2 free 0 torsion 2  # inline\n\nH4 free 0 torsion 2\ncup 1 1 = 1\n"
         assert parse_ring(source) == parse_ring(RP4_SOURCE)
 
+    def test_cost_independent_of_generator_count(self, monkeypatch):
+        # the ring is built from its given entries, not from every pair of
+        # generators, so a thousand unused generators cost no reductions
+        calls = [0]
+        canonical = FgGroup.canonical
+
+        def counted(group, coeffs):
+            calls[0] += 1
+            return canonical(group, coeffs)
+
+        monkeypatch.setattr(FgGroup, "canonical", counted)
+        counts = []
+        for p in (1, 1000):
+            calls[0] = 0
+            parse_ring(f"H2 free {p} torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
 
 class TestSerializeRing:
     def rings(self):

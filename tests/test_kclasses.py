@@ -81,6 +81,11 @@ class TestConstructors:
         with pytest.raises(InvalidRingError):
             line_class(bad, (1,))
 
+    def test_class_over_invalid_ring_rejected(self):
+        bad = make_ring(FgGroup(0, (2,)), FgGroup(1), {(0, 0): (1,)})
+        with pytest.raises(InvalidRingError):
+            KClass(bad, 1, (1,), (0,))
+
     def test_coordinates_canonicalized(self):
         r = rp4()
         assert line_class(r, (3,)) == line_class(r, (1,))
@@ -383,11 +388,10 @@ def reference_cup(ring, a, b):
     for i, ai in enumerate(a):
         if ai == 0:
             continue
-        row = ring.cup_form.entries[i]
         for j, bj in enumerate(b):
             if bj == 0:
                 continue
-            total = ring.h4.add(total, ring.h4.scale(ai * bj, row[j]))
+            total = ring.h4.add(total, ring.h4.scale(ai * bj, ring.cup_form.entry(i, j)))
     return total
 
 
@@ -549,6 +553,26 @@ class TestReductionCount:
         k_mul(ring, a, b)
         assert calls[0] == 0
 
+    def test_engine_ops_check_no_validity(self, monkeypatch):
+        # a class is only built over a valid ring, so operations on classes
+        # need not check the ring again
+        ring = five_generator_ring()
+        a = KClass(ring, 3, (2, -1, 4, 1, 3), (5, -2, 1))
+        b = KClass(ring, -2, (-3, 2, 1, 1, 2), (1, 7, 0))
+        calls = [0]
+        require_valid = CohomologyRing.require_valid
+
+        def counted(r):
+            calls[0] += 1
+            return require_valid(r)
+
+        monkeypatch.setattr(CohomologyRing, "require_valid", counted)
+        k_add(ring, a, b)
+        k_neg(ring, a)
+        k_scale(ring, -3, a)
+        k_mul(ring, a, b)
+        assert calls[0] == 0
+
 
 def chern_character(a):
     """ch(a) = (rank, c1, (c1^2 - 2 c2)/2) over H^4 (x) Q, read from the cup form."""
@@ -562,9 +586,9 @@ def chern_character(a):
 
 def form_cup(ring, x, y):
     """x . y summed straight from the generator table, with no reduction."""
-    entries = ring.cup_form.entries
+    entry = ring.cup_form.entry
     return [
-        sum(x[i] * y[j] * entries[i][j][k] for i in range(len(x)) for j in range(len(y)))
+        sum(x[i] * y[j] * entry(i, j)[k] for i in range(len(x)) for j in range(len(y)))
         for k in range(ring.h4.ngens)
     ]
 
