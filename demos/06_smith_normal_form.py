@@ -3,8 +3,10 @@
 
 Everything group-theoretic in this package reduces to one primitive:
 diagonalize an integer matrix by invertible integer row and column
-operations.  The witnesses U and V are returned so the factorization can be
-checked, not just believed.
+operations, as sparse row echelon forms of the rows and of the columns in
+turn.  With the witnesses U and V carried along it is the Smith normal form,
+so the factorization can be checked, not just believed; without them the
+same elimination solves a presented group.
 """
 
 from kfour import IntMatrix, group_from_relations, smith_normal_form

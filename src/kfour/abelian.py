@@ -6,14 +6,13 @@ coordinate is reduced into [0, order), free coordinates are unbounded.
 Python's arbitrary-precision integers make all of this exact; there is no
 overflow to guard against.
 
-The integer-matrix side provides Smith normal form with explicit unimodular
-witnesses, and the standard presentation solver: the abelian group presented
-by a relation matrix is its cokernel, whose invariant factors are read off
-the diagonal of a Smith form.  The solver keeps no witnesses: it first
-reduces the relation rows to a sparse row echelon form by exact gcd
-elimination, with no modulus, and takes the Smith form of that echelon,
-which has at most one row per generator.  The witnessed Smith normal form
-of the whole matrix is the reference it is tested against.
+The integer-matrix side has one exact elimination, :func:`_diagonalize`:
+sparse row echelon forms of the rows and of the columns in turn, by gcd
+operations with no modulus, until the matrix is diagonal, then folds of
+neighbouring entries until they form a divisibility chain.  With unimodular
+witnesses carried along it is :func:`smith_normal_form`; without them it is
+the presentation solver :func:`group_from_relations`, whose group, the
+cokernel of the relation matrix, has the chain as its invariant factors.
 
 Everything in this module is immutable and side-effect free, so any value
 may be shared freely across threads.
@@ -276,105 +275,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (U, D, V) with D = U @ m @ V, U and V unimodular (determinant
-    +-1), and D diagonal with non-negative entries forming a divisibility
-    chain d1 | d2 | ... (ones first, zeros last).
-    """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_op(i1: int, i2: int, x: int, y: int, z: int, w: int) -> None:
-        # rows (r1, r2) <- (x r1 + y r2, z r1 + w r2); x*w - y*z = +-1
-        for mat in (a, u):
-            r1, r2 = mat[i1], mat[i2]
-            for j in range(len(r1)):
-                p, q = r1[j], r2[j]
-                r1[j] = x * p + y * q
-                r2[j] = z * p + w * q
-
-    def col_op(j1: int, j2: int, x: int, y: int, z: int, w: int) -> None:
-        # cols (c1, c2) <- (x c1 + y c2, z c1 + w c2); x*w - y*z = +-1
-        for mat in (a, v):
-            for row in mat:
-                p, q = row[j1], row[j2]
-                row[j1] = x * p + y * q
-                row[j2] = z * p + w * q
-
-    def clear_row_entry(t: int, i: int) -> None:
-        # make a[i][t] zero, pivoting at a[t][t]
-        p, q = a[t][t], a[i][t]
-        if p != 0 and q % p == 0:
-            row_op(t, i, 1, 0, -(q // p), 1)
-        else:
-            g, x, y = _xgcd(p, q)
-            row_op(t, i, x, y, -(q // g), p // g)
-
-    def clear_col_entry(t: int, j: int) -> None:
-        p, q = a[t][t], a[t][j]
-        if p != 0 and q % p == 0:
-            col_op(t, j, 1, 0, -(q // p), 1)
-        else:
-            g, x, y = _xgcd(p, q)
-            col_op(t, j, x, y, -(q // g), p // g)
-
-    limit = min(nr, nc)
-    for t in range(limit):
-        # smallest nonzero entry of the trailing submatrix as pivot
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = a[i][j]
-                if e != 0 and (pivot is None or abs(e) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_op(t, pivot[0], 0, 1, 1, 0)
-        if pivot[1] != t:
-            col_op(t, pivot[1], 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    clear_row_entry(t, i)
-            if any(a[t][j] for j in range(t + 1, nc)):
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        clear_col_entry(t, j)
-                # column ops may have dirtied the pivot column again
-                if any(a[i][t] for i in range(t + 1, nr)):
-                    continue
-            d = a[t][t]
-            offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nr)
-                    for j in range(t + 1, nc)
-                    if a[i][j] % d
-                ),
-                None,
-            )
-            if offender is None:
-                break
-            # fold the non-divisible row into the pivot row; the next round
-            # of clearing strictly shrinks |pivot| (gcd step), so this ends
-            row_op(t, offender[0], 1, 1, 0, 1)
-
-    for t in range(limit):
-        if a[t][t] < 0:
-            a[t] = [-e for e in a[t]]
-            u[t] = [-e for e in u[t]]
-    return (
-        IntMatrix(nr, nr, tuple(tuple(row) for row in u)),
-        IntMatrix(nr, nc, tuple(tuple(row) for row in a)),
-        IntMatrix(nc, nc, tuple(tuple(row) for row in v)),
-    )
-
-
 @dataclass(frozen=True)
 class GroupStructureReport:
     """Isomorphism type of a finitely generated abelian group.
@@ -409,13 +309,7 @@ class GroupStructureReport:
         return FgGroup(self.free_rank, self.invariant_factors)
 
     def describe(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
-        return " ⊕ ".join(parts) if parts else "0"
+        return str(self.as_group())
 
     def __str__(self) -> str:
         return self.describe()
@@ -431,26 +325,22 @@ def _add_multiple(row: dict[int, int], k: int, other: dict[int, int]) -> None:
             row.pop(j, None)
 
 
-def _echelon(relations: IntMatrix) -> list[dict[int, int]]:
-    """A row echelon basis of the row lattice of `relations`, as sparse rows.
+def _echelon(rows: Iterable[dict[int, int]], n: int) -> tuple[dict, list[dict[int, int]]]:
+    """A row echelon form of sparse rows, pivoting only in the columns below n.
 
-    Zero and duplicate rows are dropped.  Each remaining row is reduced,
-    column by column from the left, against the pivot rows found so far, by
-    exact unimodular gcd operations on pairs of rows, until it vanishes or
-    reaches a column without a pivot, where it becomes that column's pivot
-    row.  So the result spans the same lattice with at most `cols` rows.  No
-    modulus is used, and no witness is kept.
+    Each row is reduced, column by column from the left, against the pivot
+    rows found so far, by exact unimodular gcd operations on pairs of rows,
+    until it has no entry below n or reaches a column without a pivot, where
+    it becomes that column's pivot row.  Keys from n on are carried along but
+    never pivoted on, so a witness stored there records every operation.
+    Returns the pivot rows by column and the other rows that are not empty;
+    together they span the lattice of the given rows.  No modulus is used.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for entries in dict.fromkeys(relations.entries):
-        row = {j: e for j, e in enumerate(entries) if e}
-        for col in range(relations.cols):
-            if col not in row:
-                continue
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                break
+    rest = []
+    for row in rows:
+        while (col := min(row, default=n)) in pivots:
+            pivot = pivots[col]
             p, q = pivot[col], row[col]
             if q % p:
                 # (pivot, row) <- (x pivot + y row, (p/g) row - (q/g) pivot),
@@ -463,17 +353,103 @@ def _echelon(relations: IntMatrix) -> list[dict[int, int]]:
                 _add_multiple(row, -(q // g), pivot)
             else:
                 _add_multiple(row, -(q // p), pivot)
-    return [pivots[col] for col in sorted(pivots)]
+        if col < n:
+            pivots[col] = row
+        elif row:
+            rest.append(row)
+    return pivots, rest
+
+
+def _diagonalize(rows: list[dict[int, int]], n: int, left: list | None = None,
+                 right: list | None = None) -> tuple[list[tuple[int, int, int]], list, list]:
+    """Bring the sparse rows (keys below n) of a matrix to Smith form.
+
+    Row echelon forms of the rows and of the columns alternate (Kannan &
+    Bachem, SIAM J. Comput. 8, 1979) until each row has at most one entry.
+    Then, with the rows in order of the size of their entry, the first row
+    whose entry does not divide the next one gets that neighbour's row added,
+    and the alternation resumes: it replaces the pair by their gcd and lcm,
+    until the entries form a divisibility chain.
+
+    Returns ``(entries, U, V^T)``.  Each entry (i, j, d) is the only nonzero
+    value of row i and column j of U @ m @ V, in chain order, with d up to
+    sign.  The witnesses exist only when the rows of ``left`` (U, one per
+    row) and ``right`` (V transposed, one per column) are given: they start
+    as given and ride along as the keys from n on of the rows they follow.
+    The row dicts given may be changed in place.
+    """
+    witness = left is not None
+    if witness:
+        rows = [row | {n + k: e for k, e in u.items()} for row, u in zip(rows, left)]
+    other, flipped = right, False
+    while True:
+        pivots, rest = _echelon(rows, n)
+        cols = sorted(pivots)
+        if all(sum(j < n for j in pivots[c]) == 1 for c in cols):
+            cols.sort(key=lambda c: abs(pivots[c][c]))
+            d = [pivots[c][c] for c in cols]
+            fold = next((t for t in range(len(d) - 1) if d[t + 1] % d[t]), None)
+            if fold is None:
+                break
+            _add_multiple(pivots[cols[fold]], 1, pivots[cols[fold + 1]])
+        # transpose: the columns become rows keyed by row position, followed
+        # by the other witness, and this side's witness is set aside
+        rows = [pivots[c] for c in cols] + rest
+        columns: list[dict[int, int]] = [{} for _ in range(n)]
+        for i, row in enumerate(rows):
+            for j, e in row.items():
+                if j < n:
+                    columns[j][i] = e
+        if witness:
+            for column, v in zip(columns, other):
+                column.update((len(rows) + k, e) for k, e in v.items())
+        other = [{j - n: e for j, e in row.items() if j >= n} for row in rows]
+        rows, n, flipped = columns, len(rows), not flipped
+    rows = [pivots[c] for c in cols] + rest
+    mine = [{j - n: e for j, e in row.items() if j >= n} for row in rows]
+    entries = [(t, c, pivots[c][c]) for t, c in enumerate(cols)]
+    if flipped:
+        return [(i, j, e) for j, i, e in entries], other, mine
+    return entries, mine, other
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Diagonalize an integer matrix by unimodular row and column operations.
+
+    Returns (U, D, V) with D = U @ m @ V, U and V unimodular (determinant
+    +-1), and D diagonal with non-negative entries forming a divisibility
+    chain d1 | d2 | ... (ones first, zeros last).
+    """
+    nr, nc = m.rows, m.cols
+    entries, u, vt = _diagonalize(
+        [{j: e for j, e in enumerate(row) if e} for row in m.entries],
+        nc,
+        [{i: 1} for i in range(nr)],
+        [{j: 1} for j in range(nc)],
+    )
+    # move the entries onto the diagonal in chain order, their signs into U
+    for i, _, e in entries:
+        if e < 0:
+            u[i] = {k: -x for k, x in u[i].items()}
+    rows = [i for i, _, _ in entries]
+    rows += sorted(set(range(nr)) - set(rows))
+    cols = [j for _, j, _ in entries]
+    cols += sorted(set(range(nc)) - set(cols))
+    return (
+        IntMatrix(nr, nr, tuple(tuple(u[i].get(k, 0) for k in range(nr)) for i in rows)),
+        IntMatrix.diagonal([abs(e) for _, _, e in entries], nr, nc),
+        IntMatrix(nc, nc, tuple(tuple(vt[j].get(k, 0) for j in cols) for k in range(nc))),
+    )
 
 
 def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStructureReport:
     """Invariant factors of Z^num_generators modulo the row span of `relations`.
 
-    The rows are first brought to a sparse row echelon form by exact gcd
-    elimination (:func:`_echelon`), which has at most `num_generators` rows
-    and the same row lattice; the Smith normal form of that small echelon
-    gives the invariant factors.  The witnessed :func:`smith_normal_form` of
-    the whole matrix is the reference this is tested against.
+    The distinct nonzero rows are brought to Smith form by the same exact
+    elimination as :func:`smith_normal_form`, without witnesses: a sparse
+    row echelon form first, which leaves at most `num_generators` rows, then
+    echelon forms of columns and rows in turn.  Its nonzero entries are the
+    invariant factors (and ones); every other generator adds free rank.
     """
     if num_generators < 0:
         raise ValueError("generator count must be non-negative")
@@ -481,15 +457,6 @@ def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStru
         raise ValueError(
             f"relation matrix has {relations.cols} columns for {num_generators} generators"
         )
-    echelon = _echelon(relations)
-    # columns in no echelon row add only free rank, so the Smith form is
-    # taken of the others
-    cols = sorted({j for row in echelon for j in row})
-    reduced = IntMatrix(
-        len(echelon), len(cols), tuple(tuple(row.get(j, 0) for j in cols) for row in echelon)
-    )
-    _, d, _ = smith_normal_form(reduced)
-    diag = d.diagonal_entries()
-    rank = sum(1 for e in diag if e)
-    factors = tuple(e for e in diag if e >= 2)
-    return GroupStructureReport(num_generators - rank, factors)
+    rows = [{j: e for j, e in enumerate(row) if e} for row in dict.fromkeys(relations.entries)]
+    diag = [abs(e) for _, _, e in _diagonalize(rows, num_generators)[0]]
+    return GroupStructureReport(num_generators - len(diag), tuple(e for e in diag if e >= 2))

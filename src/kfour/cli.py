@@ -22,7 +22,7 @@ from .oracle import (
     verify_relations,
     verify_ring_axioms,
 )
-from .structure import full_k_structure, reduced_k_structure
+from .structure import _full_from_reduced, reduced_k_structure
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,8 +111,8 @@ def _print_json(payload) -> None:
 
 
 def _cmd_structure(ring: CohomologyRing, args) -> int:
-    full = full_k_structure(ring)
     reduced = reduced_k_structure(ring)
+    full = _full_from_reduced(reduced)
     if args.json:
         _print_json(
             {

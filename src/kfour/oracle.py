@@ -16,9 +16,10 @@ Three independent checks live here:
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
-  bundle and unit, modulo the additive relations, solved by sparse exact
-  elimination and the Smith normal form of the echelon (the witnessed Smith
-  form of the whole matrix is the reference it is tested against).
+  bundle and unit, modulo the additive relations, solved by the sparse
+  exact elimination of :mod:`kfour.abelian` without witnesses (a dense
+  Smith normal form of the whole matrix is the reference it is tested
+  against).
   :func:`oracle_compare` checks this against the twisted-extension
   presentation and confirms that the multiplicative relations are consistent
   with the quotient.
@@ -123,40 +124,40 @@ def _relations(r: CohomologyRing):
 
     A variable ranges over H^2 when its name starts with "x" and over H^4
     when it starts with "y"; each law evaluates both sides through the
-    coordinate engine.
+    coordinate engine.  Each generator class is built once per call.
     """
     h2, h4 = r.h2, r.h4
-    L = functools.partial(line_class, r)
-    V = functools.partial(rank2_class, r)
-    n = functools.partial(integer_class, r)
+    L = _Memo(functools.partial(line_class, r))
+    V = _Memo(functools.partial(rank2_class, r))
+    n = _Memo(functools.partial(integer_class, r))
     return (
         ("1", "trivial bundles have ranks 1 and 2", (),
-            lambda: ((L(h2.zero), V(h4.zero)), (n(1), n(2)))),
+            lambda: ((L[h2.zero], V[h4.zero]), (n[1], n[2]))),
         ("2", "product of line classes adds first Chern classes", ("x", "x2"),
-            lambda x, x2: (k_mul(r, L(x), L(x2)), L(h2.add(x, x2)))),
+            lambda x, x2: (k_mul(r, L[x], L[x2]), L[h2.add(x, x2)])),
         ("3", "a line class plus its conjugate is a rank-2 class", ("x",),
             lambda x: (
-                k_add(r, L(x), L(h2.negate(x))),
-                V(h4.negate(r.cup_square(x))),
+                k_add(r, L[x], L[h2.negate(x)]),
+                V[h4.negate(r.cup_square(x))],
             )),
         ("4", "sum of rank-2 classes", ("y", "y2"),
-            lambda y, y2: (k_add(r, V(y), V(y2)), k_add(r, n(2), V(h4.add(y, y2))))),
+            lambda y, y2: (k_add(r, V[y], V[y2]), k_add(r, n[2], V[h4.add(y, y2)]))),
         ("5", "product of rank-2 classes", ("y", "y2"),
             lambda y, y2: (
-                k_mul(r, V(y), V(y2)),
-                k_add(r, n(2), V(h4.add(h4.scale(2, y), h4.scale(2, y2)))),
+                k_mul(r, V[y], V[y2]),
+                k_add(r, n[2], V[h4.add(h4.scale(2, y), h4.scale(2, y2))]),
             )),
         ("6", "line class times rank-2 class", ("x", "y"),
             lambda x, y: (
-                k_mul(r, L(x), V(y)),
+                k_mul(r, L[x], V[y]),
                 k_add(
-                    r, k_add(r, L(h2.scale(2, x)), V(h4.add(r.cup_square(x), y))), n(-1)
+                    r, k_add(r, L[h2.scale(2, x)], V[h4.add(r.cup_square(x), y)]), n[-1]
                 ),
             )),
         ("7", "sum of line classes", ("x", "x2"),
             lambda x, x2: (
-                k_add(r, L(x), L(x2)),
-                k_add(r, k_add(r, L(h2.add(x, x2)), V(r.cup(x, x2))), n(-1)),
+                k_add(r, L[x], L[x2]),
+                k_add(r, k_add(r, L[h2.add(x, x2)], V[r.cup(x, x2)]), n[-1]),
             )),
     )
 

@@ -63,7 +63,10 @@ def reduced_k_structure(ring: CohomologyRing) -> GroupStructureReport:
     return report
 
 
+def _full_from_reduced(reduced: GroupStructureReport) -> GroupStructureReport:
+    return GroupStructureReport(reduced.free_rank + 1, reduced.invariant_factors)
+
+
 def full_k_structure(ring: CohomologyRing) -> GroupStructureReport:
     """The whole K-group: one extra free rank for the virtual rank."""
-    reduced = reduced_k_structure(ring)
-    return GroupStructureReport(reduced.free_rank + 1, reduced.invariant_factors)
+    return _full_from_reduced(reduced_k_structure(ring))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from kfour import cli
 from kfour import oracle as oracle_module
+from kfour import structure as structure_module
 from kfour.kclasses import KClass
 
 RP4_SOURCE = "H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 = 1\n"
@@ -59,6 +61,31 @@ class TestStructure:
         code, out, _ = run(capsys, "structure", "-")
         assert code == 0
         assert "Z/4" in out
+
+    def test_solves_the_presentation_once(self, capsys, monkeypatch, rp4_file):
+        calls = []
+        real = structure_module.group_from_relations
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(structure_module, "group_from_relations", counted)
+        assert run(capsys, "structure", rp4_file)[0] == 0
+        assert len(calls) == 1
+
+    def test_thousand_order_two_generators(self, capsys, tmp_path):
+        # a nearly diagonal presentation on 1001 generators: an elimination
+        # that scans the whole trailing submatrix at every step never ends
+        path = tmp_path / "z2_1000.ring"
+        path.write_text(
+            "H2 free 0 torsion " + " ".join(["2"] * 1000) + "\nH4 free 0 torsion 2\ncup 1 1 = 1\n"
+        )
+        start = time.process_time()
+        code, out, _ = run(capsys, "structure", str(path))
+        assert time.process_time() - start < 5
+        assert code == 0
+        assert out.endswith("; reduced = " + " ⊕ ".join(["Z/2"] * 999 + ["Z/4"]) + "\n")
 
 
 class TestEval:
