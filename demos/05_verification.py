@@ -6,7 +6,8 @@ defining relations of the generator presentation are evaluated on both sides
 for every generator choice.  Second, the reduced K-group is rebuilt from
 scratch as a free abelian group on formal symbols (one per line bundle, one
 per rank-2 bundle) modulo the additive relations, and the result is compared
-with the twisted-extension computation.
+with the twisted-extension computation.  Both checks read the same table of
+relations: the first fills it with K-classes, the second with formal sums.
 """
 
 from kfour import oracle_compare, parse_ring, verify_relations, verify_ring_axioms

@@ -11,8 +11,8 @@ sparse row echelon forms of the rows and of the columns in turn, by gcd
 operations with no modulus, until the matrix is diagonal, then folds of
 neighbouring entries until they form a divisibility chain.  With unimodular
 witnesses carried along it is :func:`smith_normal_form`; without them it is
-the presentation solver :func:`group_from_relations`, whose group, the
-cokernel of the relation matrix, has the chain as its invariant factors.
+the presentation solver on sparse rows, whose group, the cokernel of the
+relations, has the chain as its invariant factors.
 
 Everything in this module is immutable and side-effect free, so any value
 may be shared freely across threads.
@@ -442,14 +442,25 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def _solve_relations(num_generators: int, rows: Iterable[dict[int, int]]) -> GroupStructureReport:
+    """Invariant factors of Z^num_generators modulo the span of sparse rows.
+
+    A row maps a column below `num_generators` to its nonzero entry.  The
+    distinct rows are brought to Smith form by the same exact elimination as
+    :func:`smith_normal_form`, without witnesses: a sparse row echelon form
+    first, which leaves at most `num_generators` rows, then echelon forms of
+    columns and rows in turn.  Its nonzero entries are the invariant factors
+    (and ones); every other generator adds free rank.
+    """
+    distinct = [dict(row) for row in dict.fromkeys(frozenset(row.items()) for row in rows)]
+    diag = [abs(e) for _, _, e in _diagonalize(distinct, num_generators)[0]]
+    return GroupStructureReport(num_generators - len(diag), tuple(e for e in diag if e >= 2))
+
+
 def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStructureReport:
     """Invariant factors of Z^num_generators modulo the row span of `relations`.
 
-    The distinct nonzero rows are brought to Smith form by the same exact
-    elimination as :func:`smith_normal_form`, without witnesses: a sparse
-    row echelon form first, which leaves at most `num_generators` rows, then
-    echelon forms of columns and rows in turn.  Its nonzero entries are the
-    invariant factors (and ones); every other generator adds free rank.
+    The presentation solver on the nonzero entries of each row.
     """
     if num_generators < 0:
         raise ValueError("generator count must be non-negative")
@@ -457,6 +468,6 @@ def group_from_relations(num_generators: int, relations: IntMatrix) -> GroupStru
         raise ValueError(
             f"relation matrix has {relations.cols} columns for {num_generators} generators"
         )
-    rows = [{j: e for j, e in enumerate(row) if e} for row in dict.fromkeys(relations.entries)]
-    diag = [abs(e) for _, _, e in _diagonalize(rows, num_generators)[0]]
-    return GroupStructureReport(num_generators - len(diag), tuple(e for e in diag if e >= 2))
+    return _solve_relations(
+        num_generators, ({j: e for j, e in enumerate(row) if e} for row in relations.entries)
+    )

@@ -3,9 +3,9 @@
 Three independent checks live here:
 
 * :func:`verify_relations` evaluates both sides of the seven defining
-  relations of the line/rank-2 generator presentation through the coordinate
-  engine, for every choice of generators (exhaustively on finite cohomology,
-  over a coordinate box otherwise).
+  relations of the line/rank-2 generator presentation, written once in one
+  table, through the coordinate engine, for every choice of generators
+  (exhaustively on finite cohomology, over a coordinate box otherwise).
 
 * :func:`verify_ring_axioms` grinds through commutativity, associativity,
   distributivity, unit and inverse laws on a whole block of classes, or on
@@ -16,8 +16,9 @@ Three independent checks live here:
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
-  bundle and unit, modulo the additive relations, solved by the sparse
-  exact elimination of :mod:`kfour.abelian` without witnesses (a dense
+  bundle and unit, modulo the additive relations of the same table, filled
+  with formal sums instead of engine classes.  Each relation instance is one
+  sparse row for the exact elimination of :mod:`kfour.abelian` (a dense
   Smith normal form of the whole matrix is the reference it is tested
   against).
   :func:`oracle_compare` checks this against the twisted-extension
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -42,8 +44,7 @@ from .abelian import (
     FgGroup,
     GroupStructureReport,
     InfiniteGroupError,
-    IntMatrix,
-    group_from_relations,
+    _solve_relations,
 )
 from .cohomology import CohomologyRing
 from .kclasses import (
@@ -119,45 +120,43 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _relations(r: CohomologyRing):
+# the relations without a product: the formal quotient takes only these
+_ADDITIVE = ("1", "3", "4", "7")
+
+
+def _relations(r: CohomologyRing, L, V, n, add: Callable, mul: Callable | None):
     """The seven defining relations as (name, description, variable names, law).
 
     A variable ranges over H^2 when its name starts with "x" and over H^4
-    when it starts with "y"; each law evaluates both sides through the
-    coordinate engine.  Each generator class is built once per call.
+    when it starts with "y".  Each law builds both sides from the generators
+    ``L[x]``, ``V[y]`` and ``n[k]`` (the line bundle, the rank-2 bundle and
+    the integer k) with ``add`` and ``mul``, so the one table serves both the
+    coordinate engine and the formal quotient.  Relation 1 equates two pairs.
     """
     h2, h4 = r.h2, r.h4
-    L = _Memo(functools.partial(line_class, r))
-    V = _Memo(functools.partial(rank2_class, r))
-    n = _Memo(functools.partial(integer_class, r))
     return (
         ("1", "trivial bundles have ranks 1 and 2", (),
             lambda: ((L[h2.zero], V[h4.zero]), (n[1], n[2]))),
         ("2", "product of line classes adds first Chern classes", ("x", "x2"),
-            lambda x, x2: (k_mul(r, L[x], L[x2]), L[h2.add(x, x2)])),
+            lambda x, x2: (mul(L[x], L[x2]), L[h2.add(x, x2)])),
         ("3", "a line class plus its conjugate is a rank-2 class", ("x",),
-            lambda x: (
-                k_add(r, L[x], L[h2.negate(x)]),
-                V[h4.negate(r.cup_square(x))],
-            )),
+            lambda x: (add(L[x], L[h2.negate(x)]), V[h4.negate(r.cup_square(x))])),
         ("4", "sum of rank-2 classes", ("y", "y2"),
-            lambda y, y2: (k_add(r, V[y], V[y2]), k_add(r, n[2], V[h4.add(y, y2)]))),
+            lambda y, y2: (add(V[y], V[y2]), add(n[2], V[h4.add(y, y2)]))),
         ("5", "product of rank-2 classes", ("y", "y2"),
             lambda y, y2: (
-                k_mul(r, V[y], V[y2]),
-                k_add(r, n[2], V[h4.add(h4.scale(2, y), h4.scale(2, y2))]),
+                mul(V[y], V[y2]),
+                add(n[2], V[h4.add(h4.scale(2, y), h4.scale(2, y2))]),
             )),
         ("6", "line class times rank-2 class", ("x", "y"),
             lambda x, y: (
-                k_mul(r, L[x], V[y]),
-                k_add(
-                    r, k_add(r, L[h2.scale(2, x)], V[h4.add(r.cup_square(x), y)]), n[-1]
-                ),
+                mul(L[x], V[y]),
+                add(add(L[h2.scale(2, x)], V[h4.add(r.cup_square(x), y)]), n[-1]),
             )),
         ("7", "sum of line classes", ("x", "x2"),
             lambda x, x2: (
-                k_add(r, L[x], L[x2]),
-                k_add(r, k_add(r, L[h2.add(x, x2)], V[r.cup(x, x2)]), n[-1]),
+                add(L[x], L[x2]),
+                add(add(L[h2.add(x, x2)], V[r.cup(x, x2)]), n[-1]),
             )),
     )
 
@@ -205,14 +204,24 @@ def verify_relations(ring: CohomologyRing, bound: int = DEFAULT_BOUND) -> Verifi
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
-    # Each relation instance is a column of one placeholder operand, which
-    # lies past the end of ``names`` and so never shows in a counterexample.
+    # The engine functions are read from the module here, so a replaced
+    # ``k_add``/``k_mul`` reaches every law.  Each relation instance is a
+    # column of one placeholder operand, which lies past the end of ``names``
+    # and so never shows in a counterexample.
+    table = _relations(
+        ring,
+        _Memo(functools.partial(line_class, ring)),
+        _Memo(functools.partial(rank2_class, ring)),
+        _Memo(functools.partial(integer_class, ring)),
+        functools.partial(k_add, ring),
+        functools.partial(k_mul, ring),
+    )
     checks = [
         _check(name, description, names,
                ((case, (None,))
                 for case in itertools.product(*(domains[var[0]] for var in names))),
                lambda *operands, law=law: tuple([side] for side in law(*operands[:-1])))
-        for name, description, names, law in _relations(ring)
+        for name, description, names, law in table
     ]
     return VerificationReport(tuple(checks))
 
@@ -363,57 +372,33 @@ def oracle_reduced_group(ring: CohomologyRing) -> GroupStructureReport:
     """Rebuild the reduced K-group from formal generators and relations.
 
     Free abelian group on {unit} + {one symbol per line bundle} + {one symbol
-    per rank-2 bundle}, modulo the additive relations; the reduced part is
-    the quotient by the unit, which splits off as the image of the rank map.
-    Requires finite cohomology.
+    per rank-2 bundle}, modulo the additive relations of the table that
+    :func:`verify_relations` evaluates, here filled with formal sums: tuples
+    of (column, coefficient) terms, added by concatenation.  Each equation
+    lhs - rhs is one sparse row.  The reduced part is the quotient by the
+    unit, which splits off as the image of the rank map.  Requires finite
+    cohomology.
     """
     _require_finite(ring)
-    h2, h4 = ring.h2, ring.h4
-    xs = list(h2.elements())
-    ys = list(h4.elements())
-    unit = 0
-    line_index = {x: 1 + i for i, x in enumerate(xs)}
-    v_index = {y: 1 + len(xs) + i for i, y in enumerate(ys)}
-    width = 1 + len(xs) + len(ys)
-
-    rows: list[list[int]] = []
-
-    def relation(*terms: tuple[int, int]) -> None:
-        row = [0] * width
-        for index, coeff in terms:
-            row[index] += coeff
-        rows.append(row)
-
-    # trivial bundles: L(0) = 1 and V(0) = 2
-    relation((line_index[h2.zero], 1), (unit, -1))
-    relation((v_index[h4.zero], 1), (unit, -2))
-    # L(x) + L(-x) = V(-x^2)
-    for x in xs:
-        relation(
-            (line_index[x], 1),
-            (line_index[h2.negate(x)], 1),
-            (v_index[h4.negate(ring.cup_square(x))], -1),
-        )
-    # V(y) + V(y') = 2 + V(y + y')
-    for y, y2 in itertools.product(ys, repeat=2):
-        relation(
-            (v_index[y], 1),
-            (v_index[y2], 1),
-            (unit, -2),
-            (v_index[h4.add(y, y2)], -1),
-        )
-    # L(x) + L(x') = L(x + x') + V(x x') - 1
-    for x, x2 in itertools.product(xs, repeat=2):
-        relation(
-            (line_index[x], 1),
-            (line_index[x2], 1),
-            (line_index[h2.add(x, x2)], -1),
-            (v_index[ring.cup(x, x2)], -1),
-            (unit, 1),
-        )
+    domains = {"x": list(ring.h2.elements()), "y": list(ring.h4.elements())}
+    # column 0 is the unit, then one column per line bundle, then per rank-2 bundle
+    L = {x: ((1 + i, 1),) for i, x in enumerate(domains["x"])}
+    V = {y: ((1 + len(L) + i, 1),) for i, y in enumerate(domains["y"])}
+    n = _Memo(lambda k: ((0, k),))
+    rows = []
+    for name, _, names, law in _relations(ring, L, V, n, operator.add, None):
+        if name not in _ADDITIVE:
+            continue
+        for case in itertools.product(*(domains[var[0]] for var in names)):
+            sides = law(*case)
+            for lhs, rhs in zip(*sides) if name == "1" else [sides]:
+                row: dict[int, int] = {}
+                for column, coeff in lhs + tuple((j, -c) for j, c in rhs):
+                    row[column] = row.get(column, 0) + coeff
+                rows.append({j: e for j, e in row.items() if e})
     # reduced part: kill the unit (the rank map splits off that copy of Z)
-    relation((unit, 1))
-    return group_from_relations(width, IntMatrix.from_rows(rows, cols=width))
+    rows.append({0: 1})
+    return _solve_relations(1 + len(L) + len(V), rows)
 
 
 @dataclass(frozen=True)
@@ -460,9 +445,9 @@ def _compare(ring: CohomologyRing, relations: VerificationReport) -> OracleCompa
     """
     engine = reduced_k_structure(ring)
     oracle = oracle_reduced_group(ring)
-    additive, multiplicative = (
-        VerificationReport(tuple(c for c in relations.checks if c.name in names))
-        for names in (("1", "3", "4", "7"), ("2", "5", "6"))
+    additive = VerificationReport(tuple(c for c in relations.checks if c.name in _ADDITIVE))
+    multiplicative = VerificationReport(
+        tuple(c for c in relations.checks if c.name not in _ADDITIVE)
     )
     images_ok = all(
         line_class(ring, x) == KClass(ring, 1, x, ring.h4.zero)

@@ -9,7 +9,8 @@ with one relation per torsion generator:
     order-n generator e of H^2:   n e = T(n) e^2   with T(n) = n(n-1)/2,
 
 because the n-fold twisted sum of (e, 0) is (n e, T(n) e^2).  Solving the
-presentation by Smith normal form yields the invariant factors; the full
+presentation, as sparse rows of at most 1 + rank H^4 entries, by the exact
+elimination of :mod:`kfour.abelian` yields the invariant factors; the full
 K-group adds one free rank for the virtual-rank coordinate.
 
 The oracle module rebuilds the same group from a completely different
@@ -18,37 +19,32 @@ presentation, and the test suite checks both against brute-force enumeration.
 
 from __future__ import annotations
 
-from .abelian import GroupStructureReport, IntMatrix, group_from_relations
+from .abelian import GroupStructureReport, _solve_relations
 from .cohomology import CohomologyRing
 from .kclasses import choose2
 
 __all__ = ["full_k_structure", "reduced_k_structure"]
 
 
-def _twisted_relations(ring: CohomologyRing) -> IntMatrix:
-    p, q = ring.h2.ngens, ring.h4.ngens
-    rows = []
-    for k, m in enumerate(ring.h4.torsion_orders):
-        row = [0] * (p + q)
-        row[p + ring.h4.free_rank + k] = m
-        rows.append(row)
+def _twisted_relations(ring: CohomologyRing) -> list[dict[int, int]]:
+    p = ring.h2.ngens
+    rows = [{p + ring.h4.free_rank + k: m} for k, m in enumerate(ring.h4.torsion_orders)]
     cup = dict(ring.cup_form.pairs)
     for k, n in enumerate(ring.h2.torsion_orders):
         i = ring.h2.free_rank + k
-        square = cup.get((i, i), ring.h4.zero)
-        row = [0] * (p + q)
-        row[i] = n
+        row = {i: n}
         t = choose2(n)
-        for j, c in enumerate(square):
-            row[p + j] -= t * c
+        for j, c in enumerate(cup.get((i, i), ())):
+            if c:
+                row[p + j] = -t * c
         rows.append(row)
-    return IntMatrix.from_rows(rows, cols=p + q)
+    return rows
 
 
 def reduced_k_structure(ring: CohomologyRing) -> GroupStructureReport:
     """Invariant factors and free rank of the rank-zero classes."""
     ring.require_valid()
-    report = group_from_relations(ring.h2.ngens + ring.h4.ngens, _twisted_relations(ring))
+    report = _solve_relations(ring.h2.ngens + ring.h4.ngens, _twisted_relations(ring))
     expected_free = ring.h2.free_rank + ring.h4.free_rank
     if report.free_rank != expected_free:
         raise RuntimeError(

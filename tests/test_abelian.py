@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from conftest import BATTERY_SHAPES, all_valid_forms, make_ring
@@ -359,6 +360,51 @@ def dense_smith_form(m):
     return tuple(abs(a[t][t]) for t in range(min(nr, nc)))
 
 
+def hand_written_oracle_rows(ring):
+    """The reference formal presentation: each additive relation written out
+    as dense rows on the unit, one column per line bundle and one per rank-2
+    bundle, with the unit killed last."""
+    h2, h4 = ring.h2, ring.h4
+    xs = list(h2.elements())
+    ys = list(h4.elements())
+    unit = 0
+    line_index = {x: 1 + i for i, x in enumerate(xs)}
+    v_index = {y: 1 + len(xs) + i for i, y in enumerate(ys)}
+    width = 1 + len(xs) + len(ys)
+    rows = []
+
+    def relation(*terms):
+        row = [0] * width
+        for index, coeff in terms:
+            row[index] += coeff
+        rows.append(row)
+
+    # trivial bundles: L(0) = 1 and V(0) = 2
+    relation((line_index[h2.zero], 1), (unit, -1))
+    relation((v_index[h4.zero], 1), (unit, -2))
+    # L(x) + L(-x) = V(-x^2)
+    for x in xs:
+        relation(
+            (line_index[x], 1),
+            (line_index[h2.negate(x)], 1),
+            (v_index[h4.negate(ring.cup_square(x))], -1),
+        )
+    # V(y) + V(y') = 2 + V(y + y')
+    for y, y2 in itertools.product(ys, repeat=2):
+        relation((v_index[y], 1), (v_index[y2], 1), (unit, -2), (v_index[h4.add(y, y2)], -1))
+    # L(x) + L(x') = L(x + x') + V(x x') - 1
+    for x, x2 in itertools.product(xs, repeat=2):
+        relation(
+            (line_index[x], 1),
+            (line_index[x2], 1),
+            (line_index[h2.add(x, x2)], -1),
+            (v_index[ring.cup(x, x2)], -1),
+            (unit, 1),
+        )
+    relation((unit, 1))
+    return rows
+
+
 def snf_group(num_generators, m):
     """The reference solver: the diagonal of the dense Smith form of all of m."""
     diag = dense_smith_form(m)
@@ -422,17 +468,29 @@ class TestGroupFromRelationsAgainstSmithForm:
     def test_oracle_matrices(self, monkeypatch, t2, t4):
         h2, h4 = FgGroup(0, t2), FgGroup(0, t4)
         form = random.Random(repr((t2, t4))).choice(list(all_valid_forms(h2, h4)))
+        ring = make_ring(h2, h4, form)
         seen = []
+        solve = oracle_module._solve_relations
 
-        def recorded(num_generators, relations):
-            seen.append((num_generators, relations))
-            return group_from_relations(num_generators, relations)
+        def recorded(num_generators, rows):
+            seen.append((num_generators, rows))
+            return solve(num_generators, rows)
 
-        monkeypatch.setattr(oracle_module, "group_from_relations", recorded)
-        report = oracle_module.oracle_reduced_group(make_ring(h2, h4, form))
-        [(width, m)] = seen
+        monkeypatch.setattr(oracle_module, "_solve_relations", recorded)
+        report = oracle_module.oracle_reduced_group(ring)
+        [(width, rows)] = seen
+        m = IntMatrix.from_rows(
+            ([row.get(j, 0) for j in range(width)] for row in rows), cols=width
+        )
         assert report == snf_group(width, m)
         assert report.order == h2.order * h4.order
+        reference = hand_written_oracle_rows(ring)
+        assert len(reference[0]) == width
+
+        def sparse(row):
+            return frozenset((j, e) for j, e in enumerate(row) if e)
+
+        assert Counter(map(sparse, m.entries)) == Counter(map(sparse, reference))
 
     def test_unused_generators_skip_the_smith_form(self, monkeypatch):
         # the solver keeps no witnesses, so it never builds the witnessed

@@ -7,13 +7,228 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfour import cli
+from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
 from kfour import oracle as oracle_module
 from kfour import structure as structure_module
+from kfour.abelian import IntMatrix
 from kfour.kclasses import KClass
 
 RP4_SOURCE = "H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 = 1\n"
 CP2_SOURCE = "H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n"
+Z4_SOURCE = "H2 free 0 torsion 4\nH4 free 0 torsion 4\ncup 1 1 = 1\n"
+
+# Full stdout of `kfour verify`, pinned byte for byte.
+RP4_VERIFY = """\
+defining relations:
+  name   checked  failures
+  1         1         0
+  2         4         0
+  3         2         0
+  4         4         0
+  5         4         0
+  6         4         0
+  7         4         0
+formal-generator oracle:
+  engine structure: Z/4
+  oracle structure: Z/4
+  structures: match
+result: OK
+"""
+
+RP4_VERIFY_JSON = """\
+{
+  "relations": [
+    {
+      "name": "1",
+      "description": "trivial bundles have ranks 1 and 2",
+      "instances": 1,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "2",
+      "description": "product of line classes adds first Chern classes",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "3",
+      "description": "a line class plus its conjugate is a rank-2 class",
+      "instances": 2,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "4",
+      "description": "sum of rank-2 classes",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "5",
+      "description": "product of rank-2 classes",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "6",
+      "description": "line class times rank-2 class",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "7",
+      "description": "sum of line classes",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    }
+  ],
+  "axioms": null,
+  "oracle": {
+    "engine_structure": {
+      "free_rank": 0,
+      "invariant_factors": [
+        4
+      ]
+    },
+    "oracle_structure": {
+      "free_rank": 0,
+      "invariant_factors": [
+        4
+      ]
+    },
+    "structures_match": true,
+    "generator_images_ok": true,
+    "additive_failures": 0,
+    "multiplicative_failures": 0
+  },
+  "ok": true
+}
+"""
+
+Z4_VERIFY = """\
+defining relations:
+  name   checked  failures
+  1         1         0
+  2        16         0
+  3         4         0
+  4        16         0
+  5        16         0
+  6        16         0
+  7        16         0
+formal-generator oracle:
+  engine structure: Z/2 ⊕ Z/8
+  oracle structure: Z/2 ⊕ Z/8
+  structures: match
+result: OK
+"""
+
+Z4_VERIFY_JSON = """\
+{
+  "relations": [
+    {
+      "name": "1",
+      "description": "trivial bundles have ranks 1 and 2",
+      "instances": 1,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "2",
+      "description": "product of line classes adds first Chern classes",
+      "instances": 16,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "3",
+      "description": "a line class plus its conjugate is a rank-2 class",
+      "instances": 4,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "4",
+      "description": "sum of rank-2 classes",
+      "instances": 16,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "5",
+      "description": "product of rank-2 classes",
+      "instances": 16,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "6",
+      "description": "line class times rank-2 class",
+      "instances": 16,
+      "failures": 0,
+      "counterexamples": []
+    },
+    {
+      "name": "7",
+      "description": "sum of line classes",
+      "instances": 16,
+      "failures": 0,
+      "counterexamples": []
+    }
+  ],
+  "axioms": null,
+  "oracle": {
+    "engine_structure": {
+      "free_rank": 0,
+      "invariant_factors": [
+        2,
+        8
+      ]
+    },
+    "oracle_structure": {
+      "free_rank": 0,
+      "invariant_factors": [
+        2,
+        8
+      ]
+    },
+    "structures_match": true,
+    "generator_images_ok": true,
+    "additive_failures": 0,
+    "multiplicative_failures": 0
+  },
+  "ok": true
+}
+"""
+
+RP4_VERIFY_BROKEN_MUL = """\
+defining relations:
+  name   checked  failures
+  1         1         0
+  2         4         2
+    counterexample: [x=(0,), x2=(1,)] lhs=(1, [0], [0]) rhs=(1, [1], [0])
+    counterexample: [x=(1,), x2=(1,)] lhs=(1, [1], [0]) rhs=(1, [0], [0])
+  3         2         0
+  4         4         0
+  5         4         2
+    counterexample: [y=(1,), y2=(0,)] lhs=(4, [0], [1]) rhs=(4, [0], [0])
+    counterexample: [y=(1,), y2=(1,)] lhs=(4, [0], [1]) rhs=(4, [0], [0])
+  6         4         3
+    counterexample: [x=(0,), y=(1,)] lhs=(2, [0], [0]) rhs=(2, [0], [1])
+    counterexample: [x=(1,), y=(0,)] lhs=(2, [1], [0]) rhs=(2, [0], [1])
+    counterexample: [x=(1,), y=(1,)] lhs=(2, [1], [0]) rhs=(2, [0], [0])
+  7         4         0
+formal-generator oracle:
+  engine structure: Z/4
+  oracle structure: Z/4
+  structures: match
+result: FAILED
+"""
 
 
 @pytest.fixture
@@ -64,13 +279,13 @@ class TestStructure:
 
     def test_solves_the_presentation_once(self, capsys, monkeypatch, rp4_file):
         calls = []
-        real = structure_module.group_from_relations
+        real = structure_module._solve_relations
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(structure_module, "group_from_relations", counted)
+        monkeypatch.setattr(structure_module, "_solve_relations", counted)
         assert run(capsys, "structure", rp4_file)[0] == 0
         assert len(calls) == 1
 
@@ -212,6 +427,36 @@ class TestVerify:
         assert code == 3
         assert "result: FAILED" in out
         assert "counterexample" in out
+        # the counterexample lines also pin which side is evaluated as lhs
+        assert out == RP4_VERIFY_BROKEN_MUL
+
+    @pytest.mark.parametrize("source, args, expected", [
+        (RP4_SOURCE, [], RP4_VERIFY),
+        (RP4_SOURCE, ["--json"], RP4_VERIFY_JSON),
+        (Z4_SOURCE, [], Z4_VERIFY),
+        (Z4_SOURCE, ["--json"], Z4_VERIFY_JSON),
+    ])
+    def test_golden_output(self, capsys, tmp_path, source, args, expected):
+        path = tmp_path / "ring.ring"
+        path.write_text(source)
+        assert run(capsys, "verify", str(path), *args) == (0, expected, "")
+
+    def test_no_dense_matrix(self, capsys, monkeypatch, rp4_file):
+        # every presentation reaches the solver as sparse rows
+        built = []
+        post_init = IntMatrix.__post_init__
+
+        def counted(m):
+            built.append(m)
+            post_init(m)
+
+        monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+        ring = parse_ring(RP4_SOURCE)
+        assert reduced_k_structure(ring) == oracle_reduced_group(ring)
+        assert run(capsys, "verify", rp4_file)[0] == 0
+        assert built == []
+        IntMatrix.identity(1)
+        assert len(built) == 1
 
 
 class TestTable:

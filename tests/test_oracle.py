@@ -335,6 +335,33 @@ class TestRelationOperands:
         assert verify_relations(ring) == report
 
 
+class TestOneRelationTable:
+    """verify_relations and the formal quotient read the same relation table."""
+
+    def test_changed_relation_reaches_both_checks(self, monkeypatch):
+        # relation 7 without its cup term: the engine sees it fail, and the
+        # quotient by it is no longer the engine's group
+        real = oracle_module._relations
+
+        def without_cup(r, L, V, n, add, mul):
+            table = list(real(r, L, V, n, add, mul))
+            [i] = [i for i, relation in enumerate(table) if relation[0] == "7"]
+            name, description, names, _ = table[i]
+            table[i] = (name, description, names, lambda x, x2: (
+                add(L[x], L[x2]),
+                add(add(L[r.h2.add(x, x2)], V[r.h4.zero]), n[-1]),
+            ))
+            return tuple(table)
+
+        monkeypatch.setattr(oracle_module, "_relations", without_cup)
+        report = verify_relations(rp4())
+        assert [c.name for c in report.checks if not c.ok] == ["7"]
+        result = oracle_compare(rp4())
+        assert not result.structures_match
+        assert result.engine_structure == GroupStructureReport(0, (4,))
+        assert result.oracle_structure == GroupStructureReport(0, (2,))
+
+
 class TestAxiomsMatchReference:
     """The column-wise laws against the per-instance reference above."""
 
