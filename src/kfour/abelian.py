@@ -4,7 +4,8 @@ A group is presented as Z^r (+) Z/n1 (+) ... (+) Z/nk, free coordinates
 first.  Elements are plain tuples of ints in canonical form: every torsion
 coordinate is reduced into [0, order), free coordinates are unbounded.
 Python's arbitrary-precision integers make all of this exact; there is no
-overflow to guard against.
+overflow to guard against.  Only this module knows coordinate orders, and
+:func:`_reduce`, shared with the K-class engine, is the one reduction by them.
 
 The integer-matrix side has one exact elimination, :func:`_diagonalize`:
 sparse row echelon forms of the rows and of the columns in turn, by gcd
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 Element = tuple[int, ...]
@@ -40,6 +42,11 @@ __all__ = [
 
 class InfiniteGroupError(ValueError):
     """An operation that needs a finite group was given one with free rank."""
+
+
+def _reduce(coords: Iterable[int], moduli: tuple[int, ...]) -> Element:
+    """Canonical form of raw coordinates: each torsion one taken mod its order."""
+    return tuple([c % m if m else c for c, m in zip(coords, moduli)])
 
 
 @dataclass(frozen=True)
@@ -85,18 +92,22 @@ class FgGroup:
     def zero(self) -> Element:
         return (0,) * self.ngens
 
-    def canonical(self, coeffs: Iterable[int]) -> Element:
-        """Canonical form: torsion coordinates reduced into [0, order)."""
+    @cached_property
+    def _moduli(self) -> tuple[int, ...]:
+        """Each coordinate's order, 0 for a free one; built on first use."""
+        return (0,) * self.free_rank + self.torsion_orders
+
+    def _coords(self, coeffs: Iterable[int]) -> Element:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.ngens:
             raise ValueError(
                 f"expected {self.ngens} coordinates for {self}, got {len(coeffs)}"
             )
-        free = coeffs[: self.free_rank]
-        torsion = tuple(
-            c % n for c, n in zip(coeffs[self.free_rank :], self.torsion_orders)
-        )
-        return free + torsion
+        return coeffs
+
+    def canonical(self, coeffs: Iterable[int]) -> Element:
+        """Canonical form: torsion coordinates reduced into [0, order)."""
+        return _reduce(self._coords(coeffs), self._moduli)
 
     def add(self, a: Iterable[int], b: Iterable[int]) -> Element:
         a, b = tuple(a), tuple(b)
@@ -105,22 +116,20 @@ class FgGroup:
                 f"expected {self.ngens} coordinates for {self}, "
                 f"got {len(a)} and {len(b)}"
             )
-        return self.canonical(x + y for x, y in zip(a, b))
+        return _reduce([x + y for x, y in zip(a, b)], self._moduli)
 
     def negate(self, a: Iterable[int]) -> Element:
-        return self.canonical(-x for x in tuple(a))
+        return _reduce([-x for x in self._coords(a)], self._moduli)
 
     def scale(self, n: int, a: Iterable[int]) -> Element:
-        return self.canonical(n * x for x in tuple(a))
+        return _reduce([n * x for x in self._coords(a)], self._moduli)
 
     def element_order(self, a: Iterable[int]) -> int | None:
         """Least n >= 1 with n*a = 0, or None for infinite order."""
         a = self.canonical(a)
-        if any(a[: self.free_rank]):
+        if any(c for c, m in zip(a, self._moduli) if not m):
             return None
-        return math.lcm(
-            *(n // math.gcd(n, c) for c, n in zip(a[self.free_rank :], self.torsion_orders))
-        )
+        return math.lcm(*(m // math.gcd(m, c) for c, m in zip(a, self._moduli) if m))
 
     def elements(self) -> Iterator[Element]:
         """Every element exactly once; only defined for finite groups."""
@@ -138,9 +147,7 @@ class FgGroup:
         if bound < 0:
             raise ValueError(f"bound must be non-negative, got {bound}")
         box = range(-bound, bound + 1)
-        ranges: list[Iterable[int]] = [box] * self.free_rank
-        for n in self.torsion_orders:
-            ranges.append(sorted({c % n for c in box}))
+        ranges = (sorted({c % m for c in box}) if m else box for m in self._moduli)
         return itertools.product(*ranges)
 
     def __str__(self) -> str:
@@ -376,6 +383,7 @@ def _diagonalize(rows: list[dict[int, int]], n: int, left: list | None = None,
     sign.  The witnesses exist only when the rows of ``left`` (U, one per
     row) and ``right`` (V transposed, one per column) are given: they start
     as given and ride along as the keys from n on of the rows they follow.
+    Without them a transpose keeps only the columns that have entries.
     The row dicts given may be changed in place.
     """
     witness = left is not None
@@ -395,16 +403,16 @@ def _diagonalize(rows: list[dict[int, int]], n: int, left: list | None = None,
         # transpose: the columns become rows keyed by row position, followed
         # by the other witness, and this side's witness is set aside
         rows = [pivots[c] for c in cols] + rest
-        columns: list[dict[int, int]] = [{} for _ in range(n)]
+        columns = {j: {} for j in range(n)} if witness else {}
         for i, row in enumerate(rows):
             for j, e in row.items():
                 if j < n:
-                    columns[j][i] = e
+                    columns.setdefault(j, {})[i] = e
         if witness:
-            for column, v in zip(columns, other):
+            for column, v in zip(columns.values(), other):
                 column.update((len(rows) + k, e) for k, e in v.items())
         other = [{j - n: e for j, e in row.items() if j >= n} for row in rows]
-        rows, n, flipped = columns, len(rows), not flipped
+        rows, n, flipped = [columns[j] for j in sorted(columns)], len(rows), not flipped
     rows = [pivots[c] for c in cols] + rest
     mine = [{j - n: e for j, e in row.items() if j >= n} for row in rows]
     entries = [(t, c, pivots[c][c]) for t, c in enumerate(cols)]

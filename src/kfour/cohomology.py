@@ -7,7 +7,8 @@ is stored as its nonzero values on pairs of generators only, reduced once
 when the ring is built, and extended bilinearly on demand: each ring
 flattens those values into plain-int terms once, on first use, and a cup
 (like every K-class result built on it) is summed on raw ints and reduced
-once at the end.
+once at the end.  Building, validating and printing a ring cost what its
+entries cost, whatever ranks it declares.
 
 A ring value can always be constructed, even from mathematically inconsistent
 data; :func:`validate_ring` reports every violation.  A K-class cannot be
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .abelian import Element, FgGroup
+from .abelian import Element, FgGroup, _reduce
 
 __all__ = [
     "CohomologyRing",
@@ -123,10 +124,6 @@ class InvalidRingError(ValueError):
         self.report = report
 
 
-def _moduli(group: FgGroup) -> tuple[int, ...]:
-    return (0,) * group.free_rank + group.torsion_orders
-
-
 def _add_cup(out: list[int], terms, a, b, p: int, q: int = 0, s: int = 0) -> None:
     """Add sum over (i, j) of (p a_i b_j + q a_i a_j + s b_i b_j) e_ij to out.
 
@@ -141,11 +138,6 @@ def _add_cup(out: list[int], terms, a, b, p: int, q: int = 0, s: int = 0) -> Non
         if w:
             for k, v in entry:
                 out[k] += w * v
-
-
-def _reduce(coords: Iterable[int], moduli: tuple[int, ...]) -> Element:
-    """Canonical form of raw coordinates: each torsion one taken mod its order."""
-    return tuple([c % m if m else c for c, m in zip(coords, moduli)])
 
 
 @dataclass(frozen=True)
@@ -165,8 +157,7 @@ class CohomologyRing:
             )
         # reduce the given entries and drop those that vanish, so that
         # equality of rings is well defined
-        moduli = _moduli(self.h4)
-        reduced = ((key, _reduce(coeffs, moduli)) for key, coeffs in form.pairs)
+        reduced = ((key, _reduce(c, self.h4._moduli)) for key, c in form.pairs)
         pairs = tuple((key, value) for key, value in reduced if any(value))
         if pairs != form.pairs:
             object.__setattr__(self, "cup_form", CupForm(form.size, form.rank, pairs))
@@ -207,15 +198,15 @@ class CohomologyRing:
         """The cup form as plain ints: (terms, H^2 moduli, H^4 moduli).
 
         ``terms`` lists every nonzero entry e_ij as (i, j, ((k, coeff), ...))
-        over the H^4 coordinates k; the moduli give each coordinate's order,
-        with 0 marking a free one.  Built on first use and kept with the
-        ring, like the validation.
+        over the H^4 coordinates k; the moduli are the groups' own tables of
+        coordinate orders, passed on so that an operation needs one lookup.
+        Built on first use and kept with the ring, like the validation.
         """
         terms = tuple(
             (i, j, tuple((k, v) for k, v in enumerate(entry) if v))
             for (i, j), entry in self.cup_form.pairs
         )
-        return terms, _moduli(self.h2), _moduli(self.h4)
+        return terms, self.h2._moduli, self.h4._moduli
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"
@@ -235,10 +226,10 @@ def _validate(ring: CohomologyRing) -> ValidationReport:
                 f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ",
             )
         )
-    h2_moduli, h4_moduli = _moduli(ring.h2), _moduli(ring.h4)
+    free, orders = ring.h2.free_rank, ring.h2.torsion_orders
     for (i, j), e in pairs:
-        n = h2_moduli[i]
-        if n and any(_reduce([n * v for v in e], h4_moduli)):
+        n = orders[i - free] if i >= free else 0
+        if n and any(ring.h4.scale(n, e)):
             issues.append(
                 ValidationIssue(
                     "torsion",

@@ -33,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .abelian import Element
-from .cohomology import CohomologyRing, _add_cup, _reduce
+from .abelian import Element, _reduce
+from .cohomology import CohomologyRing, _add_cup
 
 __all__ = [
     "KClass",

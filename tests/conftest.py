@@ -9,7 +9,12 @@ axiom checks stay tractable.
 
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +66,36 @@ MALFORMED_RING_SOURCES = [
     ("format 9\nH2 free 0 torsion\nH4 free 0 torsion\n", 1, 8),
     ("", 1, 1),
 ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_MEMORY_CAP = 1 << 30  # bytes of address space for a capped CLI run
+
+
+def run_cli_capped(*argv, stdin, timeout):
+    """Run ``python -m kfour.cli argv`` in a child process with capped memory.
+
+    The child's address space is limited to ``CLI_MEMORY_CAP`` and its wall
+    time to ``timeout`` seconds (``subprocess.TimeoutExpired`` past that), so
+    a case whose cost follows a huge declared generator count fails its test
+    instead of exhausting the host.  Run such cases only through here, never
+    in-process.  Returns the ``CompletedProcess`` with text stdout and stderr.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CLI_MEMORY_CAP, CLI_MEMORY_CAP))
+
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "kfour.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=cap,
+    )
 
 
 def make_ring(h2, h4, pairs=None):

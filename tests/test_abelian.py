@@ -541,3 +541,107 @@ class TestGroupStructureReport:
         assert GroupStructureReport(1, (4,)).describe() == "Z ⊕ Z/4"
         assert GroupStructureReport(3, ()).describe() == "Z^3"
         assert str(GroupStructureReport(0, (2, 2))) == "Z/2 ⊕ Z/2"
+
+
+# The element arithmetic as it stood before the coordinate orders moved into
+# one cached table: each method sliced free and torsion coordinates itself.
+# Kept as the reference the current methods must match, errors included.
+def reference_canonical(g, coeffs):
+    coeffs = tuple(coeffs)
+    if len(coeffs) != g.ngens:
+        raise ValueError(f"expected {g.ngens} coordinates for {g}, got {len(coeffs)}")
+    free = coeffs[: g.free_rank]
+    torsion = tuple(c % n for c, n in zip(coeffs[g.free_rank :], g.torsion_orders))
+    return free + torsion
+
+
+def reference_add(g, a, b):
+    a, b = tuple(a), tuple(b)
+    if len(a) != g.ngens or len(b) != g.ngens:
+        raise ValueError(
+            f"expected {g.ngens} coordinates for {g}, got {len(a)} and {len(b)}"
+        )
+    return reference_canonical(g, (x + y for x, y in zip(a, b)))
+
+
+def reference_negate(g, a):
+    return reference_canonical(g, (-x for x in tuple(a)))
+
+
+def reference_scale(g, n, a):
+    return reference_canonical(g, (n * x for x in tuple(a)))
+
+
+def reference_element_order(g, a):
+    a = reference_canonical(g, a)
+    if any(a[: g.free_rank]):
+        return None
+    return math.lcm(
+        *(n // math.gcd(n, c) for c, n in zip(a[g.free_rank :], g.torsion_orders))
+    )
+
+
+def reference_bounded_elements(g, bound):
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
+    box = range(-bound, bound + 1)
+    ranges = [box] * g.free_rank
+    for n in g.torsion_orders:
+        ranges.append(sorted({c % n for c in box}))
+    return itertools.product(*ranges)
+
+
+def outcome(f, *args):
+    """The value of f(*args), or the message of the ValueError it raises."""
+    try:
+        return "value", f(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+small_groups = st.builds(
+    FgGroup, st.integers(0, 3), st.lists(st.integers(2, 12), max_size=4).map(tuple)
+)
+big_ints = st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def group_and_coords(draw):
+    """A group and two coordinate lists, usually of its length, sometimes not."""
+    g = draw(small_groups)
+
+    def coords():
+        length = draw(st.one_of(st.just(g.ngens), st.integers(0, g.ngens + 2)))
+        return draw(st.lists(big_ints, min_size=length, max_size=length))
+
+    return g, coords(), coords()
+
+
+class TestAgainstReferenceArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(group_and_coords(), big_ints, st.booleans())
+    def test_element_methods(self, case, n, as_iterator):
+        g, a, b = case
+        # iterators are consumed by a call, so each call gets fresh ones
+        wrap = iter if as_iterator else tuple
+        pairs = [
+            (g.canonical, reference_canonical, (a,)),
+            (g.add, reference_add, (a, b)),
+            (g.negate, reference_negate, (a,)),
+            (g.element_order, reference_element_order, (a,)),
+        ]
+        for method, reference, args in pairs:
+            assert outcome(method, *map(wrap, args)) == outcome(
+                reference, g, *map(wrap, args)
+            )
+        assert outcome(g.scale, n, wrap(a)) == outcome(reference_scale, g, n, wrap(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_groups, st.integers(-2, 2))
+    def test_bounded_elements(self, g, bound):
+        def first(f, *args):
+            return list(itertools.islice(f(*args), 2000))
+
+        assert outcome(first, g.bounded_elements, bound) == outcome(
+            first, reference_bounded_elements, g, bound
+        )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from conftest import run_cli_capped
 from hypothesis import strategies as st
 
 from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
@@ -599,3 +600,29 @@ def test_ring_file_fuzz_ends_with_an_exit_code(fuzz_ring_path, command, source):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([command, str(fuzz_ring_path)])
     assert code in {0, 1, 2, 3}
+
+
+# Rings that declare 10^11 generators: every command here must cost what the
+# entries cost, not what the declared rank would, so they run capped at 1 GiB.
+HUGE_TWISTED = (
+    "H2 free 100000000000 torsion 2\n"
+    "H4 free 0 torsion 2\n"
+    "cup 100000000001 100000000001 = 1\n"
+)
+HUGE_FREE = "H2 free 100000000000 torsion\nH4 free 100000000000 torsion\n"
+
+
+@pytest.mark.parametrize(
+    "source, command, expected",
+    [
+        (HUGE_TWISTED, "structure",
+         "K0 = Z^100000000001 ⊕ Z/4; reduced = Z^100000000000 ⊕ Z/4\n"),
+        (HUGE_TWISTED, "fmt", "format 1\n" + HUGE_TWISTED),
+        (HUGE_FREE, "structure", "K0 = Z^200000000001; reduced = Z^200000000000\n"),
+        (HUGE_FREE, "fmt", "format 1\n" + HUGE_FREE),
+    ],
+    ids=["twisted-structure", "twisted-fmt", "free-structure", "free-fmt"],
+)
+def test_huge_declared_rank_costs_its_entries(source, command, expected):
+    result = run_cli_capped(command, "-", stdin=source, timeout=5)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", expected)
