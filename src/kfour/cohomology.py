@@ -70,18 +70,19 @@ class CupForm:
         """Build a symmetric form from 0-based {(i, j): coefficients}.
 
         Missing pairs are zero; giving (i, j) also fills (j, i).  Two entries
-        for the same unordered pair must agree.
+        for the same unordered pair must agree in H^4.  Coefficients are kept
+        as given: a ring reduces them once, when it is built.
         """
         p = h2.ngens
         seen: dict[tuple[int, int], Element] = {}
         for (i, j), coeffs in (pairs or {}).items():
             if not (0 <= i < p and 0 <= j < p):
                 raise ValueError(f"generator index ({i}, {j}) out of range")
-            value = h4.canonical(coeffs)
+            value = h4._coords(coeffs)
             key = (min(i, j), max(i, j))
-            if key in seen and seen[key] != value:
+            known = seen.setdefault(key, value)
+            if known != value and h4.canonical(known) != h4.canonical(value):
                 raise ValueError(f"conflicting cup entries for generators {key}")
-            seen[key] = value
         nonzero = [((i, j), v) for (i, j), v in seen.items() if any(v)]
         nonzero += [((j, i), v) for (i, j), v in nonzero if i != j]
         return cls(p, h4.ngens, tuple(nonzero))
@@ -155,10 +156,10 @@ class CohomologyRing:
                 f"cup form on {form.size} generators with {form.rank} coordinates, "
                 f"but H^2 has {self.h2.ngens} generators and H^4 {self.h4.ngens}"
             )
-        # reduce the given entries and drop those that vanish, so that
-        # equality of rings is well defined
-        reduced = ((key, _reduce(c, self.h4._moduli)) for key, c in form.pairs)
-        pairs = tuple((key, value) for key, value in reduced if any(value))
+        # reduce each distinct entry once (a mirrored pair shares its value)
+        # and drop those that vanish, so that equality of rings is well defined
+        reduced = {c: _reduce(c, self.h4._moduli) for c in {c for _, c in form.pairs}}
+        pairs = tuple((key, reduced[c]) for key, c in form.pairs if any(reduced[c]))
         if pairs != form.pairs:
             object.__setattr__(self, "cup_form", CupForm(form.size, form.rank, pairs))
 

@@ -25,15 +25,19 @@ value must stay printable, together with its decomposition n*1 + L(x) +
 V(y): a power whose coordinates would pass the interpreter's digit limit is
 refused before it is computed, and any other operation whose result passes
 it is refused at its operator.
+
+An expression is tokenized into plain strings by one regex scan, once a scan
+for stray characters (any but whitespace, letters and the grammar's own) has
+found none; a token's line and column are worked out only for an error.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from .abelian import FgGroup
 from .cohomology import CohomologyRing, CupForm, validate_ring
@@ -208,15 +212,12 @@ def parse_ring(text: str) -> CohomologyRing:
                     lineno,
                     coords[h4.ngens][1] if len(coords) > h4.ngens else parser.end_col,
                 )
-            value = h4.canonical(c for c, _ in coords)
+            value = tuple(c for c, _ in coords)
             key = (min(i, j) - 1, max(i, j) - 1)
-            if key in cup_entries and cup_entries[key] != value:
-                raise ParseError(
-                    f"conflicting cup entry for generators {key[0] + 1} {key[1] + 1}",
-                    lineno,
-                    head_col,
-                )
-            cup_entries[key] = value
+            known = cup_entries.setdefault(key, value)
+            if known != value and h4.canonical(known) != h4.canonical(value):
+                message = f"conflicting cup entry for generators {key[0] + 1} {key[1] + 1}"
+                raise ParseError(message, lineno, head_col)
             entry_position.setdefault(key, (lineno, head_col))
         else:
             raise ParseError(f"unknown directive '{head}'", lineno, head_col)
@@ -266,36 +267,23 @@ def serialize_ring(ring: CohomologyRing) -> str:
 # ---------------------------------------------------------------------------
 # expressions
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "name", "punct", "end"
-    text: str
-    line: int
-    col: int
-
-
 _EXPR_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()\[\],+\-*^]|\S")
+# what only the catch-all ``\S`` matches: a letter is a one-character name,
+# anything else is rejected before parsing
+_EXPR_STRAY = re.compile(r"[^\s0-9A-Za-z_()\[\],+\-*^]")
 
 
-def _tokenize_expr(text: str) -> list[_Token]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        for m in _EXPR_TOKEN.finditer(line):
-            piece = m.group()
-            col = m.start() + 1
-            if piece.isascii() and piece.isdigit():
-                kind = "int"
-            elif piece[0].isalpha() or piece[0] == "_":
-                kind = "name"
-            elif piece in "()[],+-*^":
-                kind = "punct"
-            else:
-                raise ParseError(f"unexpected character '{piece}'", lineno, col)
-            tokens.append(_Token(kind, piece, lineno, col))
-    last_line = max(1, len(text.splitlines()))
-    end_col = len(text.splitlines()[-1]) + 1 if text.splitlines() else 1
-    tokens.append(_Token("end", "", last_line, end_col))
-    return tokens
+def _line_col(text: str, offset: int | None) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``, or of the end for None.
+
+    Lines are those of ``str.splitlines``, and the end lies just past the
+    last one.  No token spans a line break, as every break is whitespace.
+    """
+    if offset is None:
+        lines = text.splitlines() or [""]
+        return len(lines), len(lines[-1]) + 1
+    lines = (text[:offset] + "x").splitlines()  # "x" stands in for text[offset]
+    return len(lines), len(lines[-1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -304,9 +292,20 @@ def _power_of_ten(digits: int) -> int:
 
 
 class _ExprParser:
-    def __init__(self, ring: CohomologyRing, tokens: list[_Token]):
+    """Recursive descent over the token strings, with "" for the end.
+
+    With stray characters rejected, a token is an integer literal exactly when
+    it ``isdigit``.  Tokens are kept by index; a position is found on error.
+    """
+
+    def __init__(self, ring: CohomologyRing, text: str):
+        for m in _EXPR_STRAY.finditer(text):
+            if not m.group().isalpha():
+                message = f"unexpected character '{m.group()}'"
+                raise ParseError(message, *_line_col(text, m.start()))
         self.ring = ring
-        self.tokens = tokens
+        self.text = text
+        self.tokens = _EXPR_TOKEN.findall(text) + [""]
         self.pos = 0
         self.depth = 0
         # values must stay printable: str() refuses ints over ``limit`` digits
@@ -314,33 +313,49 @@ class _ExprParser:
         self.limit = sys.get_int_max_str_digits()
         self.too_big = _power_of_ten(self.limit) if self.limit else None
 
-    def peek(self) -> _Token:
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column of token ``i``, found by scanning the text again."""
+        matches = itertools.islice(_EXPR_TOKEN.finditer(self.text), i, None)
+        return _line_col(self.text, next(matches).start() if self.tokens[i] else None)
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, *self.position(i))
+
+    def got(self, i: int) -> str:
+        return f"'{self.tokens[i]}'" if self.tokens[i] else "end of input"
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
+    def next(self) -> int:
+        """The index of the current token, moving past it unless it is the end."""
+        i = self.pos
+        if self.tokens[i]:
+            self.pos = i + 1
+        return i
 
-    def expect(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.text != text:
-            got = "end of input" if tok.kind == "end" else f"'{tok.text}'"
-            raise ParseError(f"expected '{text}', got {got}", tok.line, tok.col)
-        return tok
+    def expect(self, text: str) -> int:
+        i = self.next()
+        if self.tokens[i] != text:
+            raise self.error(f"expected '{text}', got {self.got(i)}", i)
+        return i
+
+    def literal(self, i: int) -> int:
+        try:
+            return int(self.tokens[i])
+        except ValueError:  # too long; _int_literal words the error
+            return _int_literal(self.tokens[i], *self.position(i))
 
     def parse(self) -> KClass:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing token '{tok.text}'", tok.line, tok.col)
+        if self.peek():
+            raise self.error(f"unexpected trailing token '{self.peek()}'", self.pos)
         return value
 
     def fits(self, *values: int) -> bool:
         return self.too_big is None or max(map(abs, values)) < self.too_big
 
-    def apply(self, op_tok: _Token, op, *operands: KClass) -> KClass:
+    def apply(self, op_index: int, op, *operands: KClass) -> KClass:
         """``op(ring, *operands)``, refused at its operator if it is unprintable.
 
         A value is printed with its decomposition n*1 + L(x) + V(y), whose
@@ -349,26 +364,22 @@ class _ExprParser:
         value = op(self.ring, *operands)
         n, _, _ = decompose(self.ring, value)
         if not self.fits(value.rank, n, *value.c1, *value.c2):
-            raise ParseError(
-                f"result has a coordinate over {self.limit} digits",
-                op_tok.line,
-                op_tok.col,
-            )
+            raise self.error(f"result has a coordinate over {self.limit} digits", op_index)
         return value
 
     def expr(self) -> KClass:
         value = self.term()
-        while self.peek().text in ("+", "-"):
+        while self.peek() in ("+", "-"):
             op = self.next()
             rhs = self.term()
-            if op.text == "-":
+            if self.tokens[op] == "-":
                 rhs = self.apply(op, k_neg, rhs)
             value = self.apply(op, k_add, value, rhs)
         return value
 
     def term(self) -> KClass:
         value = self.unary()
-        while self.peek().text == "*":
+        while self.peek() == "*":
             op = self.next()
             value = self.apply(op, k_mul, value, self.unary())
         return value
@@ -376,7 +387,7 @@ class _ExprParser:
     def unary(self) -> KClass:
         # iterative, so a long run of minus signs cannot exhaust the stack
         signs = []
-        while self.peek().text == "-":
+        while self.peek() == "-":
             signs.append(self.next())
         value = self.power()
         for op in reversed(signs):
@@ -385,19 +396,15 @@ class _ExprParser:
 
     def power(self) -> KClass:
         value = self.atom()
-        while self.peek().text == "^":
+        while self.peek() == "^":
             self.next()
-            tok = self.next()
-            if tok.kind != "int":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal", tok.line, tok.col
-                )
-            exponent = _int_literal(tok.text, tok.line, tok.col)
+            i = self.next()
+            if not self.tokens[i].isdigit():
+                raise self.error("exponent must be a non-negative integer literal", i)
+            exponent = self.literal(i)
             if not self.power_fits(value, exponent):
-                raise ParseError(
-                    f"power too large: a coordinate would pass {self.limit} digits",
-                    tok.line,
-                    tok.col,
+                raise self.error(
+                    f"power too large: a coordinate would pass {self.limit} digits", i
                 )
             value = k_pow(self.ring, value, exponent)
         return value
@@ -430,64 +437,54 @@ class _ExprParser:
         return self.fits(r**n + 3, m * x, m * y + ((m * m + m) // 2 + k) * q)
 
     def atom(self) -> KClass:
-        tok = self.next()
-        if tok.kind == "int":
-            return integer_class(self.ring, _int_literal(tok.text, tok.line, tok.col))
-        if tok.kind == "name":
-            if tok.text == "L":
-                return line_class(self.ring, self.vector(self.ring.h2, tok))
-            if tok.text == "V":
-                return rank2_class(self.ring, self.vector(self.ring.h4, tok))
-            raise ParseError(
-                f"unknown name '{tok.text}' (expected L or V)", tok.line, tok.col
-            )
-        if tok.text == "(":
+        i = self.next()
+        tok = self.tokens[i]
+        if tok.isdigit():
+            return integer_class(self.ring, self.literal(i))
+        if tok == "L":
+            return line_class(self.ring, self.vector(self.ring.h2, tok))
+        if tok == "V":
+            return rank2_class(self.ring, self.vector(self.ring.h4, tok))
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
-                )
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", i)
             self.depth += 1
             value = self.expr()
             self.expect(")")
             self.depth -= 1
             return value
-        got = "end of input" if tok.kind == "end" else f"'{tok.text}'"
-        raise ParseError(f"expected a class expression, got {got}", tok.line, tok.col)
+        if tok[:1].isalpha() or tok[:1] == "_":
+            raise self.error(f"unknown name '{tok}' (expected L or V)", i)
+        raise self.error(f"expected a class expression, got {self.got(i)}", i)
 
-    def vector(self, group: FgGroup, name_tok: _Token) -> tuple[int, ...]:
+    def vector(self, group: FgGroup, name: str) -> tuple[int, ...]:
         self.expect("(")
         opening = self.expect("[")
         coords: list[int] = []
-        if self.peek().text != "]":
-            while True:
+        if self.peek() != "]":
+            coords.append(self.signed_int())
+            while self.peek() == ",":
+                self.next()
                 coords.append(self.signed_int())
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
         self.expect("]")
         self.expect(")")
         if len(coords) != group.ngens:
-            raise ParseError(
-                f"{name_tok.text}(...) needs {group.ngens} coordinates, got {len(coords)}",
-                opening.line,
-                opening.col,
-            )
+            message = f"{name}(...) needs {group.ngens} coordinates, got {len(coords)}"
+            raise self.error(message, opening)
         return tuple(coords)
 
     def signed_int(self) -> int:
         sign = 1
-        tok = self.next()
-        if tok.text == "-":
+        i = self.next()
+        if self.tokens[i] == "-":
             sign = -1
-            tok = self.next()
-        if tok.kind != "int":
-            got = "end of input" if tok.kind == "end" else f"'{tok.text}'"
-            raise ParseError(f"expected an integer, got {got}", tok.line, tok.col)
-        return sign * _int_literal(tok.text, tok.line, tok.col)
+            i = self.next()
+        if not self.tokens[i].isdigit():
+            raise self.error(f"expected an integer, got {self.got(i)}", i)
+        return sign * self.literal(i)
 
 
 def eval_expr(ring: CohomologyRing, text: str) -> KClass:
     """Parse and evaluate a class expression over the given ring."""
     ring.require_valid()
-    return _ExprParser(ring, _tokenize_expr(text)).parse()
+    return _ExprParser(ring, text).parse()

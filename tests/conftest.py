@@ -67,6 +67,15 @@ MALFORMED_RING_SOURCES = [
     ("", 1, 1),
 ]
 
+# pieces that class-expression fuzzing joins: the grammar's characters, every
+# line break of str.splitlines ("\r\n" among them), whitespace that breaks no
+# line, a non-ASCII letter and digit, a stray character and a longer name
+EXPR_FUZZ_PIECES = [
+    *"0123456789LV()[],+-*^ \t",
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\x1f", "é", "٣", "$", "_x",
+]
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_MEMORY_CAP = 1 << 30  # bytes of address space for a capped CLI run

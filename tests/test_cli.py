@@ -5,7 +5,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from conftest import run_cli_capped
+from conftest import EXPR_FUZZ_PIECES, run_cli_capped
 from hypothesis import strategies as st
 
 from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
@@ -364,8 +364,8 @@ def ring_files(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ring=st.integers(0, 1), text=st.text(alphabet="0123456789LV()[],+-*^ ",
-                                            max_size=40))
+@given(ring=st.integers(0, 1),
+       text=st.lists(st.sampled_from(EXPR_FUZZ_PIECES), max_size=40).map("".join))
 def test_eval_fuzz_ends_with_an_exit_code(ring_files, ring, text):
     # any expression text ends in a result or a diagnostic, never a traceback
     with contextlib.redirect_stdout(io.StringIO()), \

@@ -1,5 +1,12 @@
-import pytest
+import re
+from dataclasses import dataclass
 
+import pytest
+from conftest import EXPR_FUZZ_PIECES
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kfour import cohomology, dsl
 from kfour.abelian import FgGroup
 from kfour.cohomology import CohomologyRing, CupForm
 from kfour.dsl import MAX_NESTING, ParseError, eval_expr, parse_ring, serialize_ring
@@ -128,13 +135,40 @@ class TestParseRing:
             calls[0] += 1
             return canonical(group, coeffs)
 
+        reduce = cohomology._reduce
+
+        def counted_reduce(coeffs, moduli):
+            calls[0] += 1
+            return reduce(coeffs, moduli)
+
         monkeypatch.setattr(FgGroup, "canonical", counted)
+        monkeypatch.setattr(cohomology, "_reduce", counted_reduce)
         counts = []
         for p in (1, 1000):
             calls[0] = 0
             parse_ring(f"H2 free {p} torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
             counts.append(calls[0])
-        assert counts[0] == counts[1]
+        assert counts == [1, 1]
+
+    def test_each_cup_entry_reduced_once(self, monkeypatch):
+        # the ring reduces each given entry, and the mirror of an off-diagonal
+        # one shares its reduction; parsing itself reduces nothing
+        reduced = []
+        canonical, reduce = FgGroup.canonical, cohomology._reduce
+        monkeypatch.setattr(
+            FgGroup, "canonical", lambda g, c: reduced.append(c) or canonical(g, c)
+        )
+        monkeypatch.setattr(
+            cohomology, "_reduce", lambda c, m: reduced.append(c) or reduce(c, m)
+        )
+        ring = parse_ring(
+            "H2 free 0 torsion 2 2\nH4 free 0 torsion 2 2\n"
+            "cup 1 1 = 3 0\ncup 2 1 = 0 -1\ncup 2 2 = 1 1\n"
+        )
+        assert sorted(reduced) == [(0, -1), (1, 1), (3, 0)]
+        assert ring.cup_form.pairs == (
+            ((0, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1)), ((1, 1), (1, 1))
+        )
 
 
 class TestSerializeRing:
@@ -264,3 +298,111 @@ class TestEvalExpr:
         with pytest.raises(ParseError) as err:
             eval_expr(self.rp4, "1 +\n+ $")
         assert err.value.line == 2
+
+    def test_success_computes_no_position(self, monkeypatch):
+        def refuse(text, offset):
+            raise AssertionError("a position was computed")
+
+        monkeypatch.setattr(dsl, "_line_col", refuse)
+        cp2 = parse_ring("H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        rp4_expressions = [
+            "(L([1])-1)^2 + 2*(L([1])-1)", "L([1])", "V([1])", "L([1]) - 1",
+            "(L([1]) - 1)^2 + 2*(L([1]) - 1)", "L([0]) * V([0])", "1 + 2 * 3",
+            "(1 + 2) * 3", "2 * 2 ^ 3", "-2 ^ 2", "2 - 1 - 1", "2 ^ 2 ^ 3",
+            "L([1]) * V([1])", "1 +\r\n\u2028 L([1])\x1f",
+        ]
+        cp2_expressions = [
+            *(f"(L([1]) - 1)^{n}" for n in range(4)), "2 - V([1])", "1",
+            "L([1]) - 1", "L([-2])", "(L([1]) + 1)^7130",
+        ]
+        for ring, texts in ((self.rp4, rp4_expressions), (cp2, cp2_expressions)):
+            for text in texts:
+                eval_expr(ring, text)
+        with pytest.raises(AssertionError):
+            eval_expr(self.rp4, "1 +")
+
+
+# The expression tokenizer as it stood when each token was an object that
+# carried its kind and position, computed line by line.  Kept as the
+# reference for the token strings of the parser and for the positions it
+# works out on an error.
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "int", "name", "punct", "end"
+    text: str
+    line: int
+    col: int
+
+
+_REFERENCE_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()\[\],+\-*^]|\S")
+
+
+def reference_tokenize(text):
+    tokens = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        for m in _REFERENCE_TOKEN.finditer(line):
+            piece = m.group()
+            col = m.start() + 1
+            if piece.isascii() and piece.isdigit():
+                kind = "int"
+            elif piece[0].isalpha() or piece[0] == "_":
+                kind = "name"
+            elif piece in "()[],+-*^":
+                kind = "punct"
+            else:
+                raise ParseError(f"unexpected character '{piece}'", lineno, col)
+            tokens.append(_Token(kind, piece, lineno, col))
+    last_line = max(1, len(text.splitlines()))
+    end_col = len(text.splitlines()[-1]) + 1 if text.splitlines() else 1
+    tokens.append(_Token("end", "", last_line, end_col))
+    return tokens
+
+
+def token_kind(tok):
+    """A token string's kind, by the parser's rules."""
+    if not tok:
+        return "end"
+    if tok.isdigit():
+        return "int"
+    if tok[0].isalpha() or tok[0] == "_":
+        return "name"
+    return "punct"
+
+
+class TestTokensAgainstReference:
+    rp4 = parse_ring(RP4_SOURCE)
+
+    def assert_matches_reference(self, text):
+        try:
+            expected = reference_tokenize(text)
+        except ParseError as ref_err:
+            with pytest.raises(ParseError) as err:
+                dsl._ExprParser(self.rp4, text)
+            assert (str(err.value), err.value.message, position(err)) == (
+                str(ref_err), ref_err.message, (ref_err.line, ref_err.col)
+            )
+            return
+        parser = dsl._ExprParser(self.rp4, text)
+        assert parser.tokens == [tok.text for tok in expected]
+        assert [token_kind(tok) for tok in parser.tokens] == [tok.kind for tok in expected]
+        positions = [parser.position(i) for i in range(len(parser.tokens))]
+        assert positions == [(tok.line, tok.col) for tok in expected]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(EXPR_FUZZ_PIECES), max_size=40).map("".join))
+    def test_tokens_positions_and_errors(self, text):
+        self.assert_matches_reference(text)
+
+    @pytest.mark.parametrize(
+        "text, end", [("", (1, 1)), ("\n", (1, 1)), ("a\n", (1, 2)), ("a\r\nb", (2, 2))]
+    )
+    def test_end_position(self, text, end):
+        self.assert_matches_reference(text)
+        parser = dsl._ExprParser(self.rp4, text)
+        assert parser.position(len(parser.tokens) - 1) == end
+
+    def test_line_breaks_are_whitespace(self):
+        # so that no token spans a line break
+        breaks = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        assert "".join(f"x{c}" for c in breaks).splitlines() == ["x"] * len(breaks)
+        assert all(re.fullmatch(r"\s", c) for c in breaks)
