@@ -22,9 +22,10 @@ interpreter converts (a longer one is a ParseError), and ``^`` (non-negative
 integer exponent only) binds tighter than ``*``, which binds tighter than
 ``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep, and every
 value must stay printable, together with its decomposition n*1 + L(x) +
-V(y): a power whose coordinates would pass the interpreter's digit limit is
-refused before it is computed, and any other operation whose result passes
-it is refused at its operator.
+V(y): an operation whose result passes the interpreter's digit limit is
+refused at its operator, a power at its exponent.  A power is computed in
+closed form and refused by its exact value, unless its rank alone is too
+large to compute, which is refused before anything is computed.
 
 An expression is tokenized into plain strings by one regex scan, once a scan
 for stray characters (any but whitespace, letters and the grammar's own) has
@@ -103,10 +104,9 @@ class _LineParser:
 
     @property
     def end_col(self) -> int:
-        if self.tokens:
-            tok, col = self.tokens[-1]
-            return col + len(tok)
-        return 1
+        # a parser is only built for a line with tokens
+        tok, col = self.tokens[-1]
+        return col + len(tok)
 
     def error(self, message: str, col: int | None = None) -> ParseError:
         if col is None:
@@ -355,7 +355,7 @@ class _ExprParser:
     def fits(self, *values: int) -> bool:
         return self.too_big is None or max(map(abs, values)) < self.too_big
 
-    def apply(self, op_index: int, op, *operands: KClass) -> KClass:
+    def apply(self, op_index: int, op, *operands, refusal: str = "") -> KClass:
         """``op(ring, *operands)``, refused at its operator if it is unprintable.
 
         A value is printed with its decomposition n*1 + L(x) + V(y), whose
@@ -364,7 +364,8 @@ class _ExprParser:
         value = op(self.ring, *operands)
         n, _, _ = decompose(self.ring, value)
         if not self.fits(value.rank, n, *value.c1, *value.c2):
-            raise self.error(f"result has a coordinate over {self.limit} digits", op_index)
+            message = refusal or f"result has a coordinate over {self.limit} digits"
+            raise self.error(message, op_index)
         return value
 
     def expr(self) -> KClass:
@@ -401,40 +402,14 @@ class _ExprParser:
             i = self.next()
             if not self.tokens[i].isdigit():
                 raise self.error("exponent must be a non-negative integer literal", i)
-            exponent = self.literal(i)
-            if not self.power_fits(value, exponent):
-                raise self.error(
-                    f"power too large: a coordinate would pass {self.limit} digits", i
-                )
-            value = k_pow(self.ring, value, exponent)
+            n, r = self.literal(i), abs(value.rank)
+            refusal = f"power too large: a coordinate would pass {self.limit} digits"
+            # a rank past the limit by a digit is refused before it is
+            # computed: r^n itself could be far too large to compute
+            if self.limit and r > 1 and n > (self.limit + 1) / math.log10(r):
+                raise self.error(refusal, i)
+            value = self.apply(i, k_pow, value, n, refusal=refusal)
         return value
-
-    def power_fits(self, a: KClass, n: int) -> bool:
-        """Whether an upper bound on the coordinates of a^n fits the limit.
-
-        With a = r + u, where u = a - r has rank 0, u^2 = (0, 0, -c1^2) and
-        u^3 = 0, so a^n = r^n + m u + k u^2 with m = n r^(n-1) and
-        k = C(n, 2) r^(n-2): the rank is r^n, c1 is m c1(a) and c2 is
-        m c2(a) + (C(m, 2) - k) c1(a)^2.  Torsion coordinates are reduced,
-        so only free ones are bounded; a cup with a torsion generator has no
-        free part, so c1(a)^2 is bounded by the free block of the cup form.
-        """
-        if self.too_big is None or n < 2:
-            return True
-        r = abs(a.rank)
-        # a rank past the limit by a digit needs no exact bound, which could
-        # itself be too large to compute
-        if r > 1 and n > (self.limit + 1) / math.log10(r):
-            return False
-        f2, f4 = self.ring.h2.free_rank, self.ring.h4.free_rank
-        x = max(map(abs, a.c1[:f2]), default=0)
-        y = max(map(abs, a.c2[:f4]), default=0)
-        pairs = self.ring.cup_form.pairs
-        q = x * x * sum(abs(v) for (i, j), e in pairs if i < f2 and j < f2 for v in e[:f4])
-        m = n * r ** (n - 1)
-        k = n * (n - 1) // 2 * r ** (n - 2)
-        # r^n + 3 bounds the decomposition's rank - 3 as well as the rank
-        return self.fits(r**n + 3, m * x, m * y + ((m * m + m) // 2 + k) * q)
 
     def atom(self) -> KClass:
         i = self.next()

@@ -12,6 +12,8 @@ bundles V(y) = (2, 0, y).  All arithmetic happens directly on the triples:
                     c2(ab)    = rank(a) c2(b) + rank(b) c2(a)
                               + (rank(a) rank(b) - 1) * c1(a) c1(b)
                               + T(rank(b)) * c1(a)^2 + T(rank(a)) * c1(b)^2
+    power a^n       rank(a)^n, m c1, m c2 + (T(m) - k) c1^2,
+                    m = n rank^(n-1), k = T(n) rank^(n-2)
 
 T(n) is an exact integer for every integer n (T(-1) = 1), so no rational
 intermediates appear even when H^4 has torsion.  The multiplication formula
@@ -19,9 +21,10 @@ extends the products of the L and V generators to all virtual classes; the
 oracle module re-derives those generator products independently and checks
 the formula against them.
 
-Each operation sums every output coordinate as a raw integer over the ring's
-flattened cup terms and reduces it once, so its result is already canonical
-and is built without a second pass through the groups.
+Each operation, powers included, sums every output coordinate as a raw
+integer over the ring's flattened cup terms and reduces it once, so its
+result is already canonical and is built without a second pass through the
+groups.
 
 Classes remember their ring, and every binary operation refuses operands
 from different rings.  A class can only be built over a valid ring, so the
@@ -197,20 +200,24 @@ def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
 
 
 def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
-    """Non-negative integer power by repeated squaring."""
+    """Non-negative integer power, in closed binomial form.
+
+    With r = rank(a), u = a - r has rank 0, u^2 = (0, 0, -c1^2) and u^3 = 0,
+    so a^n = r^n + m u + k u^2 with m = n r^(n-1) and k = T(n) r^(n-2):
+    (r^n, m c1, m c2 + (T(m) - k) c1^2).
+    """
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
     _check_ring(ring, a)
-    result = integer_class(ring, 1)
-    base = a
-    n = exponent
-    while n:
-        if n & 1:
-            result = k_mul(ring, result, base)
-        n >>= 1
-        if n:
-            base = k_mul(ring, base, base)
-    return result
+    terms, h2_moduli, h4_moduli = ring._cup_kernel
+    n, r = exponent, a.rank
+    # spelled out for small n, which would need r^-1 (0**-1 fails for r = 0)
+    m = n * r ** (n - 1) if n else 0
+    k = choose2(n) * r ** (n - 2) if n > 1 else 0
+    c2 = [m * y for y in a.c2]
+    _add_cup(c2, terms, a.c1, a.c1, choose2(m) - k)
+    c1 = _reduce([m * x for x in a.c1], h2_moduli)
+    return _canonical_class(ring, r**n, c1, _reduce(c2, h4_moduli))
 
 
 def decompose(ring: CohomologyRing, a: KClass) -> tuple[int, Element, Element]:

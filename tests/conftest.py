@@ -64,6 +64,10 @@ MALFORMED_RING_SOURCES = [
     ("H2 free 0 torsion 2\nH4 free 1 torsion\ncup 1 1 = 1\n", 3, 1),
     ("H2 free 0 torsion 2 2\nH4 free 0 torsion 2\ncup 1 2 = 1\ncup 2 1 = 0\n", 4, 1),
     ("format 9\nH2 free 0 torsion\nH4 free 0 torsion\n", 1, 8),
+    ("format 1 2\nH2 free 0 torsion\nH4 free 0 torsion\n", 1, 10),
+    ("H2\nH4 free 0 torsion\n", 1, 3),
+    ("H2 free\nH4 free 0 torsion\n", 1, 8),
+    ("H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1\n", 3, 8),
     ("", 1, 1),
 ]
 

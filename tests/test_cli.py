@@ -315,6 +315,21 @@ class TestEval:
         assert code == 0
         assert out == "(1, [1], [0]) = -2·1 + [L_1] + [V_0]\n"
 
+    def test_two_generator_element_prints_as_a_tuple(self, capsys, tmp_path):
+        path = tmp_path / "mixed.ring"
+        path.write_text("H2 free 1 torsion 2\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        code, out, err = run(capsys, "eval", str(path), "L([3,1])")
+        assert (code, err) == (0, "")
+        assert out == "(1, [3, 1], [0]) = -2·1 + [L_(3,1)] + [V_0]\n"
+
+    def test_power_prints_as_its_product(self, capsys, cp2_file):
+        # c2 of L(x)^2 cancels to 0; only its c1 = 2x, with 2201 digits, is large
+        x = "1" + "0" * 2200
+        power = run(capsys, "eval", cp2_file, f"L([{x}])^2")
+        product = run(capsys, "eval", cp2_file, f"L([{x}]) * L([{x}])")
+        assert power == product
+        assert power[0] == 0 and power[1].startswith("(1, [2" + "0" * 2200 + "], [0])")
+
     def test_json(self, capsys, rp4_file):
         code, out, _ = run(capsys, "eval", rp4_file, "V([1])", "--json")
         payload = json.loads(out)
@@ -390,6 +405,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", rp4_file, "--axioms")
         assert code == 0
         assert "mul_associative" in out
+
+    def test_axioms_sampled_on_infinite_ring(self, capsys, cp2_file, monkeypatch):
+        calls = []
+        verify_ring_axioms = cli.verify_ring_axioms
+
+        def spy(ring, **kwargs):
+            calls.append(kwargs)
+            return verify_ring_axioms(ring, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_ring_axioms", spy)
+        code, out, _ = run(capsys, "verify", cp2_file, "--axioms", "--bound", "3")
+        assert code == 0
+        assert calls == [{"samples": 1000, "bound": 3}]
+        axioms = out.split("ring axioms:\n")[1].split("result:")[0].splitlines()
+        assert axioms[0].split() == ["name", "checked", "failures"]
+        assert [line.split()[1:] for line in axioms[1:]] == [["1000", "0"]] * 8
+        assert out.endswith("result: OK\n")
 
     def test_json(self, capsys, rp4_file):
         code, out, _ = run(capsys, "verify", rp4_file, "--json")
@@ -483,6 +515,11 @@ class TestTable:
         code, _, err = run(capsys, "table", rp4_file, "--limit", "4")
         assert code == 1
         assert "--limit" in err
+
+    def test_limit_zero_is_usage_error(self, capsys, rp4_file):
+        code, out, err = run(capsys, "table", rp4_file, "--limit", "0")
+        assert (code, out) == (1, "")
+        assert err == "kfour: error: --limit must be >= 1\n"
 
     def test_infinite_rejected(self, capsys, cp2_file):
         code, _, err = run(capsys, "table", cp2_file)

@@ -19,6 +19,15 @@ H4 free 0 torsion 2
 cup 1 1 = 1
 """
 
+CP2_SOURCE = "H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n"
+# free and torsion generators in H^2 and H^4 alike
+MIXED_SOURCE = """\
+H2 free 1 torsion 2
+H4 free 1 torsion 2
+cup 1 1 = 1 1
+cup 2 2 = 0 1
+"""
+
 
 def make_ring(h2, h4, pairs=None):
     return CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4, pairs))
@@ -197,6 +206,37 @@ class TestSerializeRing:
         assert serialize_ring(ring) == "format 1\nH2 free 0 torsion\nH4 free 0 torsion\n"
 
 
+@st.composite
+def ring_and_expression(draw):
+    """A ring, and a small expression over it of literals, L, V, + - * and unary minus."""
+    ring = parse_ring(draw(st.sampled_from([RP4_SOURCE, CP2_SOURCE, MIXED_SOURCE])))
+
+    def vector(name, group):
+        coords = st.lists(st.integers(-3, 3), min_size=group.ngens, max_size=group.ngens)
+        return coords.map(lambda c: f"{name}([{','.join(map(str, c))}])")
+
+    atoms = st.one_of(
+        st.integers(0, 4).map(str), vector("L", ring.h2), vector("V", ring.h4)
+    )
+    expressions = st.recursive(
+        atoms,
+        lambda e: st.one_of(
+            st.tuples(e, st.sampled_from("+-*"), e).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            e.map(lambda t: f"-{t}"),
+        ),
+        max_leaves=4,
+    )
+    return ring, draw(expressions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_expression(), st.integers(0, 8))
+def test_power_is_the_product_chain(ring_expr, n):
+    ring, e = ring_expr
+    chain = "*".join([f"({e})"] * n) or "1"
+    assert eval_expr(ring, f"({e})^{n}") == eval_expr(ring, chain)
+
+
 class TestEvalExpr:
     def setup_method(self):
         self.rp4 = parse_ring(RP4_SOURCE)
@@ -231,7 +271,7 @@ class TestEvalExpr:
         assert eval_expr(r, "L([1]) * V([1])") == expected
 
     def test_negative_coordinates(self):
-        ring = parse_ring("H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        ring = parse_ring(CP2_SOURCE)
         assert eval_expr(ring, "L([-2])") == line_class(ring, (-2,))
 
     def test_empty_coordinate_lists(self):
@@ -286,13 +326,36 @@ class TestEvalExpr:
     def test_power_bound_covers_c2(self):
         # on CP^2 the rank of (L + 1)^n has about 0.3 n digits and its c2
         # about 0.6 n, so c2 is what passes the limit first, at n = 7131
-        ring = parse_ring("H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        ring = parse_ring(CP2_SOURCE)
         value = eval_expr(ring, "(L([1]) + 1)^7130")
         assert value == k_pow(ring, line_class(ring, (1,)) + 1, 7130)
         assert len(str(value.c2[0])) == 4300
         with pytest.raises(ParseError) as err:
             eval_expr(ring, "(L([1]) + 1)^7131")
         assert position(err) == (1, 14)
+
+    def test_rank_too_large_is_refused_before_computing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the power was computed")
+
+        monkeypatch.setattr(dsl, "k_pow", refuse)
+        # refused up front from n = 14288, past (4300 + 1) / log10(2) = 14287.6
+        for text in ("V([0])^100000000", "3^" + "9" * 4000, "V([0]) ^ 14289"):
+            with pytest.raises(ParseError, match="power too large"):
+                eval_expr(self.rp4, text)
+
+    def test_power_refused_only_by_its_exact_value(self):
+        # a bound that ignored cancellation refused both of these powers
+        ring = parse_ring(CP2_SOURCE)
+        x = 10**2200
+        value = eval_expr(ring, f"L([{x}])^2")
+        assert value == eval_expr(ring, f"L([{x}]) * L([{x}])")
+        assert value == line_class(ring, (2 * x,))
+        # rank -1: c2 = (C(-n, 2) - C(n, 2)) x^2 = n x^2 has 4201 digits
+        n, x = 10**200, 10**2000
+        value = eval_expr(ring, f"(L([{x}]) - 2)^{n}")
+        assert value == KClass(ring, 1, (-n * x,), (n * x * x,))
+        assert len(str(value.c2[0])) == 4201
 
     def test_multiline_positions(self):
         with pytest.raises(ParseError) as err:
@@ -304,7 +367,7 @@ class TestEvalExpr:
             raise AssertionError("a position was computed")
 
         monkeypatch.setattr(dsl, "_line_col", refuse)
-        cp2 = parse_ring("H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n")
+        cp2 = parse_ring(CP2_SOURCE)
         rp4_expressions = [
             "(L([1])-1)^2 + 2*(L([1])-1)", "L([1])", "V([1])", "L([1]) - 1",
             "(L([1]) - 1)^2 + 2*(L([1]) - 1)", "L([0]) * V([0])", "1 + 2 * 3",

@@ -493,7 +493,7 @@ class TestCupKernelMatchesReference:
         a = data.draw(classes(ring))
         b = data.draw(classes(ring))
         n = data.draw(st.integers(-10**6, 10**6))
-        exponent = data.draw(st.integers(0, 4))
+        exponent = data.draw(st.integers(0, 12))
         pairs = [
             (k_add(ring, a, b), reference_add(ring, a, b)),
             (k_neg(ring, a), reference_neg(ring, a)),
@@ -518,6 +518,49 @@ class TestCupKernelMatchesReference:
         assert square == reference_cup_square(ring, x)
         assert type(square) is tuple
         assert ring.h4.canonical(square) == square
+
+
+# far past any loop: a^n in closed form against the binomial expansion
+HUGE = 10**40
+
+
+class TestPowClosedForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_line_power_adds_chern_classes(self, data):
+        ring = data.draw(mixed_rings())
+        x = data.draw(coordinates(ring.h2))
+        n = data.draw(st.sampled_from([HUGE, HUGE + 1]))
+        expected = line_class(ring, tuple(n * c for c in x))
+        assert k_pow(ring, line_class(ring, x), n) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reduced_class_is_nilpotent(self, data):
+        ring = data.draw(mixed_rings())
+        c = data.draw(classes(ring))
+        u = reduced_part(c)
+        zero = integer_class(ring, 0)
+        assert k_pow(ring, u, 3) == zero
+        assert k_pow(ring, u, HUGE) == zero
+        assert k_pow(ring, u, 2) == k_mul(ring, u, u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_minus_one_plus_reduced_class(self, data):
+        # (-1 + u)^n = (-1)^n (1 - n u + C(n, 2) u^2), as u^3 = 0
+        ring = data.draw(mixed_rings())
+        u = reduced_part(data.draw(classes(ring)))
+        for n in (HUGE, HUGE + 1):
+            sign = (-1) ** n
+            expected = k_add(
+                ring,
+                k_add(ring, integer_class(ring, sign), k_scale(ring, -sign * n, u)),
+                k_scale(ring, sign * choose2(n), k_mul(ring, u, u)),
+            )
+            value = k_pow(ring, k_add(ring, integer_class(ring, -1), u), n)
+            assert value == expected
+            assert_canonical(value)
 
 
 def five_generator_ring():
@@ -551,6 +594,8 @@ class TestReductionCount:
         k_neg(ring, a)
         k_scale(ring, -3, a)
         k_mul(ring, a, b)
+        k_pow(ring, a, 5)
+        k_pow(ring, b, 2)
         assert calls[0] == 0
 
     def test_engine_ops_check_no_validity(self, monkeypatch):
@@ -571,6 +616,8 @@ class TestReductionCount:
         k_neg(ring, a)
         k_scale(ring, -3, a)
         k_mul(ring, a, b)
+        k_pow(ring, a, 5)
+        k_pow(ring, b, 2)
         assert calls[0] == 0
 
 
