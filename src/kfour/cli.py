@@ -16,6 +16,7 @@ from .cohomology import CohomologyRing
 from .dsl import ParseError, eval_expr, parse_ring, serialize_ring
 from .kclasses import KClass, decompose
 from .oracle import (
+    DEFAULT_BOUND,
     OracleComparison,
     VerificationReport,
     _compare,
@@ -51,30 +52,31 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text):
+    def add(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ringfile", help="ring description file, or '-' for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(run=run)
         return p
 
-    add("structure", "print the isomorphism type of the K-group")
-    p_eval = add("eval", "evaluate a class expression")
+    add("structure", "print the isomorphism type of the K-group", _cmd_structure)
+    p_eval = add("eval", "evaluate a class expression", _cmd_eval)
     p_eval.add_argument("expr", help="expression over L([...]), V([...]) and integers")
-    p_verify = add("verify", "re-check the defining relations by brute force")
+    p_verify = add("verify", "re-check the defining relations by brute force", _cmd_verify)
     p_verify.add_argument(
-        "--bound", type=int, default=2, metavar="N",
-        help="coordinate box radius for infinite cohomology (default 2)",
+        "--bound", type=int, default=DEFAULT_BOUND, metavar="N",
+        help=f"coordinate box radius for infinite cohomology (default {DEFAULT_BOUND})",
     )
     p_verify.add_argument(
         "--axioms", action="store_true",
         help="also grind through the ring axioms on a block of classes",
     )
-    p_table = add("table", "print addition and multiplication tables")
+    p_table = add("table", "print addition and multiplication tables", _cmd_table)
     p_table.add_argument(
         "--limit", type=int, default=DEFAULT_TABLE_LIMIT, metavar="N",
         help=f"largest class count to tabulate (default {DEFAULT_TABLE_LIMIT})",
     )
-    add("fmt", "canonicalize a ring description")
+    add("fmt", "canonicalize a ring description", _cmd_fmt)
     return parser
 
 
@@ -279,15 +281,6 @@ def _cmd_fmt(ring: CohomologyRing, args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "structure": _cmd_structure,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "fmt": _cmd_fmt,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -295,11 +288,8 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _UsageError("a command is required")
         ring = _load_ring(args.ringfile)
-        return _COMMANDS[args.command](ring, args)
-    except _UsageError as err:
-        print(f"kfour: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+        return args.run(ring, args)
+    except (_UsageError, OSError) as err:
         print(f"kfour: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as err:

@@ -172,10 +172,10 @@ class CohomologyRing:
         x = self.h2.canonical(a)
         # a square reads its argument once, which may be an iterator
         y = x if b is a else self.h2.canonical(b)
-        terms, _, h4_moduli = self._cup_kernel
-        total = [0] * len(h4_moduli)
-        _add_cup(total, terms, x, y, 1)
-        return _reduce(total, h4_moduli)
+        moduli = self.h4._moduli
+        total = [0] * len(moduli)
+        _add_cup(total, self._cup_kernel, x, y, 1)
+        return _reduce(total, moduli)
 
     def cup_square(self, a: Iterable[int]) -> Element:
         return self.cup(a, a)
@@ -195,19 +195,17 @@ class CohomologyRing:
         return _validate(self)
 
     @cached_property
-    def _cup_kernel(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-        """The cup form as plain ints: (terms, H^2 moduli, H^4 moduli).
+    def _cup_kernel(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+        """The cup form as plain-int terms, the input of :func:`_add_cup`.
 
-        ``terms`` lists every nonzero entry e_ij as (i, j, ((k, coeff), ...))
-        over the H^4 coordinates k; the moduli are the groups' own tables of
-        coordinate orders, passed on so that an operation needs one lookup.
-        Built on first use and kept with the ring, like the validation.
+        Every nonzero entry e_ij appears as (i, j, ((k, coeff), ...)) over
+        the H^4 coordinates k.  Built on first use and kept with the ring,
+        like the validation.
         """
-        terms = tuple(
+        return tuple(
             (i, j, tuple((k, v) for k, v in enumerate(entry) if v))
             for (i, j), entry in self.cup_form.pairs
         )
-        return terms, self.h2._moduli, self.h4._moduli
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"

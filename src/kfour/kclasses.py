@@ -21,10 +21,10 @@ extends the products of the L and V generators to all virtual classes; the
 oracle module re-derives those generator products independently and checks
 the formula against them.
 
-Each operation, powers included, sums every output coordinate as a raw
-integer over the ring's flattened cup terms and reduces it once, so its
-result is already canonical and is built without a second pass through the
-groups.
+Each operation, powers included, sums every coordinate of its closed form
+as a raw integer over the ring's flattened cup terms and hands the sums to
+one private constructor, which reduces each coordinate once and builds the
+class without a second pass through the groups.
 
 Classes remember their ring, and every binary operation refuses operands
 from different rings.  A class can only be built over a valid ring, so the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
+from typing import Iterable
 
 from .abelian import Element, _reduce
 from .cohomology import CohomologyRing, _add_cup
@@ -128,9 +129,14 @@ class KClass:
         return k_pow(self.ring, self, exponent)
 
 
-def _canonical_class(ring: CohomologyRing, rank: int, c1: Element, c2: Element) -> KClass:
-    """An engine result: canonical coordinates, kept as given, over a class's valid ring."""
+def _result(ring: CohomologyRing, rank: int, c1: Iterable[int], c2: Iterable[int]) -> KClass:
+    """An engine result over a class's valid ring, from raw coordinate sums.
+
+    Each coordinate is reduced once, here, by its group's moduli; the ring
+    needs no check, as the operands were built over it.
+    """
     value = object.__new__(KClass)
+    c1, c2 = _reduce(c1, ring.h2._moduli), _reduce(c2, ring.h4._moduli)
     value.__dict__.update(ring=ring, rank=rank, c1=c1, c2=c2)
     return value
 
@@ -162,11 +168,9 @@ def rank2_class(ring: CohomologyRing, y) -> KClass:
 def k_add(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     """Whitney sum: ranks and c1 add, c2 adds plus the cup cross term."""
     _check_ring(ring, a, b)
-    terms, h2_moduli, h4_moduli = ring._cup_kernel
     c2 = list(map(add, a.c2, b.c2))
-    _add_cup(c2, terms, a.c1, b.c1, 1)
-    c1 = _reduce(map(add, a.c1, b.c1), h2_moduli)
-    return _canonical_class(ring, a.rank + b.rank, c1, _reduce(c2, h4_moduli))
+    _add_cup(c2, ring._cup_kernel, a.c1, b.c1, 1)
+    return _result(ring, a.rank + b.rank, map(add, a.c1, b.c1), c2)
 
 
 def k_neg(ring: CohomologyRing, a: KClass) -> KClass:
@@ -177,11 +181,9 @@ def k_neg(ring: CohomologyRing, a: KClass) -> KClass:
 def k_scale(ring: CohomologyRing, n: int, a: KClass) -> KClass:
     """n-fold sum: (n rank, n c1, n c2 + T(n) c1^2)."""
     _check_ring(ring, a)
-    terms, h2_moduli, h4_moduli = ring._cup_kernel
     c2 = [n * y for y in a.c2]
-    _add_cup(c2, terms, a.c1, a.c1, choose2(n))
-    c1 = _reduce([n * x for x in a.c1], h2_moduli)
-    return _canonical_class(ring, n * a.rank, c1, _reduce(c2, h4_moduli))
+    _add_cup(c2, ring._cup_kernel, a.c1, a.c1, choose2(n))
+    return _result(ring, n * a.rank, [n * x for x in a.c1], c2)
 
 
 def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
@@ -191,12 +193,11 @@ def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     (ra rb - 1) a_i b_j + T(rb) a_i a_j + T(ra) b_i b_j.
     """
     _check_ring(ring, a, b)
-    terms, h2_moduli, h4_moduli = ring._cup_kernel
     ra, rb = a.rank, b.rank
     c2 = [ra * y + rb * x for x, y in zip(a.c2, b.c2)]
-    _add_cup(c2, terms, a.c1, b.c1, ra * rb - 1, choose2(rb), choose2(ra))
-    c1 = _reduce([rb * x + ra * y for x, y in zip(a.c1, b.c1)], h2_moduli)
-    return _canonical_class(ring, ra * rb, c1, _reduce(c2, h4_moduli))
+    _add_cup(c2, ring._cup_kernel, a.c1, b.c1, ra * rb - 1, choose2(rb), choose2(ra))
+    c1 = [rb * x + ra * y for x, y in zip(a.c1, b.c1)]
+    return _result(ring, ra * rb, c1, c2)
 
 
 def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
@@ -209,15 +210,13 @@ def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
     _check_ring(ring, a)
-    terms, h2_moduli, h4_moduli = ring._cup_kernel
     n, r = exponent, a.rank
     # spelled out for small n, which would need r^-1 (0**-1 fails for r = 0)
     m = n * r ** (n - 1) if n else 0
     k = choose2(n) * r ** (n - 2) if n > 1 else 0
     c2 = [m * y for y in a.c2]
-    _add_cup(c2, terms, a.c1, a.c1, choose2(m) - k)
-    c1 = _reduce([m * x for x in a.c1], h2_moduli)
-    return _canonical_class(ring, r**n, c1, _reduce(c2, h4_moduli))
+    _add_cup(c2, ring._cup_kernel, a.c1, a.c1, choose2(m) - k)
+    return _result(ring, r**n, [m * x for x in a.c1], c2)
 
 
 def decompose(ring: CohomologyRing, a: KClass) -> tuple[int, Element, Element]:

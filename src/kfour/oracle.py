@@ -430,8 +430,10 @@ def oracle_compare(ring: CohomologyRing) -> OracleComparison:
 
     Checks that both reduced-group constructions agree, that the coordinate
     engine kills every additive relation (so mapping formal symbols to
-    engine classes is well defined on the quotient), and that the
-    multiplicative relations also hold under the coordinate product.
+    engine classes is well defined on the quotient), that the map is onto,
+    every rank-0 class (0, x, y) being the sum (L(x) - 3) + V(y), so that
+    with equal orders it is an isomorphism, and that the multiplicative
+    relations also hold under the coordinate product.
     """
     _require_finite(ring)
     return _compare(ring, verify_relations(ring))
@@ -449,11 +451,14 @@ def _compare(ring: CohomologyRing, relations: VerificationReport) -> OracleCompa
     multiplicative = VerificationReport(
         tuple(c for c in relations.checks if c.name not in _ADDITIVE)
     )
-    images_ok = all(
-        line_class(ring, x) == KClass(ring, 1, x, ring.h4.zero)
-        for x in ring.h2.elements()
-    ) and all(
-        rank2_class(ring, y) == KClass(ring, 2, ring.h2.zero, y)
-        for y in ring.h4.elements()
+    lines = {x: line_class(ring, x) for x in ring.h2.elements()}
+    planes = {y: rank2_class(ring, y) for y in ring.h4.elements()}
+    # each symbol goes to the class it names, and (0, x, y) is (L(x) - 3) + V(y)
+    shifted = {x: k_add(ring, line, integer_class(ring, -3)) for x, line in lines.items()}
+    images_ok = (
+        all(lines[x] == KClass(ring, 1, x, ring.h4.zero) for x in lines)
+        and all(planes[y] == KClass(ring, 2, ring.h2.zero, y) for y in planes)
+        and all(k_add(ring, shifted[x], planes[y]) == KClass(ring, 0, x, y)
+                for x in shifted for y in planes)
     )
     return OracleComparison(engine, oracle, additive, multiplicative, images_ok)

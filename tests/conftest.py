@@ -20,6 +20,7 @@ import pytest
 
 from kfour.abelian import FgGroup
 from kfour.cohomology import CohomologyRing, CupForm
+from kfour.kclasses import KClass
 
 BATTERY_SEED = 20240809
 SAMPLE_FORMS = 5
@@ -113,6 +114,20 @@ def run_cli_capped(*argv, stdin, timeout):
 
 def make_ring(h2, h4, pairs=None):
     return CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4, pairs))
+
+
+def add_wrong_for_ranks(real, ranks):
+    """``real`` k_add, off by one in rank on operands of exactly these ranks.
+
+    No defining relation adds a class of rank -2 to one of rank 2, so
+    ``(-2, 2)`` is seen only by a check that reaches every rank-0 class.
+    """
+    def broken(ring, a, b):
+        c = real(ring, a, b)
+        if (a.rank, b.rank) != ranks:
+            return c
+        return KClass(ring, c.rank + 1, c.c1, c.c2)
+    return broken
 
 
 def cup_entry_choices(h2, h4, i, j):

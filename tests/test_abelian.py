@@ -80,6 +80,16 @@ class TestElements:
             for a in g.elements():
                 assert g.element_order(a) == brute_force_order(g, a)
 
+    def test_invalid_groups_rejected(self):
+        with pytest.raises(ValueError, match="free rank"):
+            FgGroup(-1)
+        with pytest.raises(ValueError, match="torsion orders"):
+            FgGroup(0, (1,))
+
+    def test_infinite_group_has_no_order(self):
+        assert FgGroup(1).order is None
+        assert Z_Z3.order is None
+
     def test_order_of_zero(self):
         for g in SAMPLE_FINITE + [Z, Z_Z3]:
             assert g.element_order(g.zero) == 1
@@ -160,6 +170,10 @@ class TestIntMatrix:
         assert IntMatrix.from_rows([[2, -1], [0, 2]]).det() == 4
         assert IntMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
         assert IntMatrix.identity(0).det() == 1
+        # a column with no pivot makes the determinant 0 at once
+        assert IntMatrix.from_rows([[0, 1], [0, 2]]).det() == 0
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, 3).det()
 
     def test_det_against_permutation_expansion(self):
         rng = random.Random(7)
@@ -184,6 +198,20 @@ class TestIntMatrix:
             IntMatrix(2, 2, ((1, 2),))
         with pytest.raises(ValueError):
             IntMatrix(1, 2, ((1, 2, 3),))
+        with pytest.raises(ValueError, match="non-negative"):
+            IntMatrix(-1, 0, ())
+        with pytest.raises(ValueError, match="column count is required"):
+            IntMatrix.from_rows([])
+
+    def test_matmul_rejections(self):
+        a = IntMatrix.identity(2)
+        with pytest.raises(TypeError):
+            a @ 3
+        with pytest.raises(ValueError, match="cannot multiply 2x2 by 3x3"):
+            a @ IntMatrix.identity(3)
+
+    def test_str(self):
+        assert str(IntMatrix.from_rows([[1, -2], [3, 4]])) == "1 -2\n3 4"
 
 
 def _perm_sign(p):
@@ -266,6 +294,8 @@ class TestGroupFromRelations:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             group_from_relations(3, IntMatrix.from_rows([[2, 0]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            group_from_relations(-1, IntMatrix.zeros(0, 0))
 
     def test_diagonal_presentations_match_crt_oracle(self):
         rng = random.Random(11)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from conftest import EXPR_FUZZ_PIECES, run_cli_capped
+from conftest import EXPR_FUZZ_PIECES, add_wrong_for_ranks, run_cli_capped
 from hypothesis import strategies as st
 
 from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
@@ -462,6 +462,21 @@ class TestVerify:
         assert "counterexample" in out
         # the counterexample lines also pin which side is evaluated as lhs
         assert out == RP4_VERIFY_BROKEN_MUL
+
+    def test_onto_failure_exits_3(self, capsys, rp4_file, monkeypatch):
+        # every relation holds, but one rank-0 class is missed by the sums
+        monkeypatch.setattr(
+            oracle_module, "k_add", add_wrong_for_ranks(oracle_module.k_add, (-2, 2))
+        )
+        code, out, _ = run(capsys, "verify", rp4_file)
+        assert code == 3
+        assert out == RP4_VERIFY.replace("result: OK", "result: FAILED")
+        code, out, _ = run(capsys, "verify", rp4_file, "--json")
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["oracle"]["generator_images_ok"] is False
+        assert payload["ok"] is False
+        assert all(check["failures"] == 0 for check in payload["relations"])
 
     @pytest.mark.parametrize("source, args, expected", [
         (RP4_SOURCE, [], RP4_VERIFY),

@@ -37,6 +37,7 @@ def s4():
 class TestValidation:
     def test_rp4_valid(self):
         assert validate_ring(rp4()).ok
+        assert str(validate_ring(rp4())) == "valid"
 
     def test_torsion_violation(self):
         h2 = FgGroup(0, (2,))
@@ -61,6 +62,11 @@ class TestValidation:
         h4 = FgGroup(0, (2,))
         with pytest.raises(ValueError):
             CupForm.from_pairs(h2, h4, {(0, 1): (1,), (1, 0): (0,)})
+
+    def test_from_pairs_rejects_an_index_out_of_range(self):
+        h = FgGroup(0, (2,))
+        with pytest.raises(ValueError, match="out of range"):
+            CupForm.from_pairs(h, h, {(0, 1): (1,)})
 
     def test_from_pairs_fills_symmetric_entry(self):
         h2 = FgGroup(0, (2, 2))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from operator import add
@@ -351,6 +352,20 @@ class TestOperators:
         r = rp4()
         assert str(KClass(r, 0, (1,), (0,))) == "(0, [1], [0])"
 
+    @pytest.mark.parametrize("other", ["x", 1.5])
+    def test_other_operands_rejected(self, other):
+        a = line_class(rp4(), (1,))
+        for op in (
+            lambda: a + other,
+            lambda: other + a,
+            lambda: a - other,
+            lambda: other - a,
+            lambda: a * other,
+            lambda: other * a,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
 
 class TestMixedRings:
     def test_equal_rings_from_distinct_objects_combine(self):
@@ -619,6 +634,97 @@ class TestReductionCount:
         k_pow(ring, a, 5)
         k_pow(ring, b, 2)
         assert calls[0] == 0
+
+
+# An independent product check: expand a b over a = n 1 + L(x) + V(y) into
+# nine terms and replace each product of generators by the right side of its
+# defining relation, so only sums, negatives and the relations are used.
+
+
+def multiple(ring, k, a):
+    """k a by doubling and adding through k_add, negated through k_neg."""
+    total, power, n = integer_class(ring, 0), a, abs(k)
+    while n:
+        if n & 1:
+            total = k_add(ring, total, power)
+        power = k_add(ring, power, power)
+        n >>= 1
+    return k_neg(ring, total) if k < 0 else total
+
+
+def product_by_relations(ring, a, b):
+    h2, h4 = ring.h2, ring.h4
+    L = functools.partial(line_class, ring)
+    V = functools.partial(rank2_class, ring)
+    one = integer_class(ring, 1)
+
+    def line_times_rank2(x, y):  # relation 6: L(2x) + V(x^2 + y) - 1
+        return k_add(
+            ring,
+            k_add(ring, L(h2.scale(2, x)), V(h4.add(ring.cup_square(x), y))),
+            integer_class(ring, -1),
+        )
+
+    (n, x, y), (m, x2, y2) = decompose(ring, a), decompose(ring, b)
+    terms = [
+        multiple(ring, n * m, one),
+        multiple(ring, n, L(x2)),
+        multiple(ring, n, V(y2)),
+        multiple(ring, m, L(x)),
+        multiple(ring, m, V(y)),
+        L(h2.add(x, x2)),  # relation 2: L(x) L(x2) = L(x + x2)
+        line_times_rank2(x, y2),
+        line_times_rank2(x2, y),
+        # relation 5: V(y) V(y2) = 2 + V(2y + 2y2)
+        k_add(ring, integer_class(ring, 2), V(h4.add(h4.scale(2, y), h4.scale(2, y2)))),
+    ]
+    return functools.reduce(functools.partial(k_add, ring), terms)
+
+
+def free_line_over_torsion(d, n):
+    """H^2 = H^4 = Z + Z/n; the free square is d plus a torsion part."""
+    h = FgGroup(1, (n,))
+    return make_ring(h, h, {(0, 0): (d, 1), (0, 1): (0, 1), (1, 1): (0, n - 1)})
+
+
+def two_spheres_over_torsion(d, n):
+    """H^2 = Z^2 + Z/n over H^4 = Z + Z/n, the free part like S^2 x S^2 twisted by d."""
+    h2, h4 = FgGroup(2, (n,)), FgGroup(1, (n,))
+    pairs = {(0, 0): (d, 0), (0, 1): (1, 1), (0, 2): (0, 1), (2, 2): (0, 1)}
+    return make_ring(h2, h4, pairs)
+
+
+RING_FAMILIES = {
+    "five_generators": lambda d, n: five_generator_ring(),
+    "free_line_over_torsion": free_line_over_torsion,
+    "two_spheres_over_torsion": two_spheres_over_torsion,
+}
+
+
+def wide_classes(ring):
+    """Ranks up to 10^3 and coordinates up to 10^6, torsion ones unreduced."""
+    size = 10**6
+    return st.builds(
+        KClass,
+        st.just(ring),
+        st.integers(-1000, 1000),
+        coordinates(ring.h2, size),
+        coordinates(ring.h4, size),
+    )
+
+
+class TestProductByRelations:
+    @pytest.mark.parametrize("family", sorted(RING_FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_k_mul(self, family, data):
+        d = data.draw(st.integers(-5, 5))
+        n = data.draw(st.sampled_from([2, 3, 4, 6]))
+        ring = RING_FAMILIES[family](d, n)
+        assert ring.validate().ok
+        a = data.draw(wide_classes(ring))
+        b = data.draw(wide_classes(ring))
+        assert k_mul(ring, a, b) == product_by_relations(ring, a, b)
 
 
 def chern_character(a):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import add_wrong_for_ranks
 
 from kfour import abelian as abelian_module
 from kfour.abelian import FgGroup, GroupStructureReport, InfiniteGroupError
@@ -33,6 +34,10 @@ def cp2():
 
 
 class TestVerifyRelations:
+    def test_unknown_check_name(self):
+        with pytest.raises(KeyError):
+            verify_relations(rp4()).check("8")
+
     def test_rp4_all_relations_pass(self):
         report = verify_relations(rp4())
         assert report.ok
@@ -477,6 +482,34 @@ class TestOracleCompare:
         assert result.ok is not sabotage
         assert [c.name for c in result.additive.checks] == ["1", "3", "4", "7"]
         assert [c.name for c in result.multiplicative.checks] == ["2", "5", "6"]
+
+    @pytest.mark.parametrize("ring", [rp4, twisted_z4, z4_z4, mixed_80_class_ring])
+    def test_onto_check_visits_every_class(self, monkeypatch, ring):
+        # one sum L(x) - 3 per x, then one sum with V(y) per (x, y)
+        ring = ring()
+        relations = verify_relations(ring)
+        calls = [0]
+        real = oracle_module.k_add
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle_module, "k_add", counted)
+        result = oracle_module._compare(ring, relations)
+        assert result.generator_images_ok and result.ok
+        assert calls[0] == ring.h2.order * (1 + ring.h4.order)
+
+    @pytest.mark.parametrize("ring", [rp4, twisted_z4, mixed_80_class_ring])
+    def test_onto_check_catches_a_sum_no_relation_takes(self, monkeypatch, ring):
+        monkeypatch.setattr(
+            oracle_module, "k_add", add_wrong_for_ranks(oracle_module.k_add, (-2, 2))
+        )
+        result = oracle_compare(ring())
+        assert result.additive.ok and result.multiplicative.ok
+        assert result.structures_match
+        assert not result.generator_images_ok
+        assert not result.ok
 
     def test_structure_mismatch_detected(self, monkeypatch):
         # sabotage the twisted-extension side; the comparison must notice
