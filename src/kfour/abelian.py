@@ -16,14 +16,14 @@ the presentation solver on sparse rows, whose group, the cokernel of the
 relations, has the chain as its invariant factors.
 
 Everything in this module is immutable and side-effect free, so any value
-may be shared freely across threads.
+may be shared freely across threads.  :func:`_frozen`, a stand-in for
+``dataclass(frozen=True)`` that spares its import, freezes every value class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -49,7 +49,47 @@ def _reduce(coords: Iterable[int], moduli: tuple[int, ...]) -> Element:
     return tuple([c % m if m else c for c, m in zip(coords, moduli)])
 
 
-@dataclass(frozen=True)
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _frozen(cls):
+    """Make ``cls`` an immutable value class, as ``dataclass(frozen=True)`` would.
+
+    Fields are the class annotations in order; a class attribute is a field's
+    default.  ``__init__`` (then ``__post_init__``), ``__eq__`` and ``__hash__``
+    on the tuple of fields are generated from source, for speed; ``__repr__``
+    is added unless the class has its own.  Setting or deleting an attribute
+    raises AttributeError; ``object.__setattr__`` and ``cached_property`` write.
+    """
+    own = cls.__dict__
+    names = list(own.get("__annotations__", {}))
+    args = ", ".join(f"{n}=own[{n!r}]" if n in own else n for n in names)
+    sets = "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+    post = " self.__post_init__()\n" if "__post_init__" in own else ""
+    mine, theirs = (", ".join(f"{s}.{n}" for n in names) + "," for s in ("self", "other"))
+
+    def __repr__(self):  # a closure: compiling it from source would double the cost
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    ns = {"_set": object.__setattr__, "own": own, "__repr__": __repr__}
+    exec(
+        f"def __init__(self, {args}):\n{sets}{post}"
+        "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+        f"  return ({mine}) == ({theirs})\n return NotImplemented\n"
+        f"def __hash__(self):\n return hash(({mine}))\n",
+        ns,
+    )
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if name not in own:
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+@_frozen
 class FgGroup:
     """A finitely generated abelian group Z^free_rank (+) Z/n1 (+) ... (+) Z/nk.
 
@@ -160,7 +200,7 @@ class FgGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntMatrix:
     """An immutable integer matrix with exact entries."""
 
@@ -282,7 +322,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-@dataclass(frozen=True)
+@_frozen
 class GroupStructureReport:
     """Isomorphism type of a finitely generated abelian group.
 

@@ -8,7 +8,6 @@ path or from standard input when the path is '-'.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .abelian import GroupStructureReport
@@ -109,6 +108,7 @@ def _group_json(report: GroupStructureReport) -> dict:
 
 
 def _print_json(payload) -> None:
+    import json  # only --json output needs it
     print(json.dumps(payload, indent=2))
 
 

@@ -18,11 +18,10 @@ ring and no class, check it themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .abelian import Element, FgGroup, _reduce
+from .abelian import Element, FgGroup, _frozen, _reduce
 
 __all__ = [
     "CohomologyRing",
@@ -34,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class CupForm:
     """The cup pairing on ordered pairs of H^2 generators, by its nonzero values.
 
@@ -92,7 +91,7 @@ class CupForm:
         return dict(self.pairs).get((i, j), (0,) * self.rank)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ValidationIssue:
     kind: str  # "symmetry" or "torsion"
     i: int  # 0-based H^2 generator indices
@@ -103,7 +102,7 @@ class ValidationIssue:
         return self.message
 
 
-@dataclass(frozen=True)
+@_frozen
 class ValidationReport:
     issues: tuple[ValidationIssue, ...] = ()
 
@@ -141,7 +140,7 @@ def _add_cup(out: list[int], terms, a, b, p: int, q: int = 0, s: int = 0) -> Non
                 out[k] += w * v
 
 
-@dataclass(frozen=True)
+@_frozen
 class CohomologyRing:
     """H^2, H^4 and the symmetric cup pairing H^2 x H^2 -> H^4."""
 
@@ -191,7 +190,7 @@ class CohomologyRing:
     @cached_property
     def _validation(self) -> ValidationReport:
         # Computed once per ring object and kept in its __dict__, which a
-        # frozen dataclass still allows, so the report dies with the ring.
+        # frozen value class still allows, so the report dies with the ring.
         return _validate(self)
 
     @cached_property

@@ -25,7 +25,8 @@ value must stay printable, together with its decomposition n*1 + L(x) +
 V(y): an operation whose result passes the interpreter's digit limit is
 refused at its operator, a power at its exponent.  A power is computed in
 closed form and refused by its exact value, unless its rank alone is too
-large to compute, which is refused before anything is computed.
+large to compute, which is refused before anything is computed (with no digit
+limit, at ``sys.int_info.default_max_str_digits`` digits all the same).
 
 An expression is tokenized into plain strings by one regex scan, once a scan
 for stray characters (any but whitespace, letters and the grammar's own) has
@@ -403,10 +404,11 @@ class _ExprParser:
             if not self.tokens[i].isdigit():
                 raise self.error("exponent must be a non-negative integer literal", i)
             n, r = self.literal(i), abs(value.rank)
-            refusal = f"power too large: a coordinate would pass {self.limit} digits"
-            # a rank past the limit by a digit is refused before it is
+            bound = self.limit or sys.int_info.default_max_str_digits
+            refusal = f"power too large: a coordinate would pass {bound} digits"
+            # a rank past the bound by a digit is refused before it is
             # computed: r^n itself could be far too large to compute
-            if self.limit and r > 1 and n > (self.limit + 1) / math.log10(r):
+            if r > 1 and n > (bound + 1) / math.log10(r):
                 raise self.error(refusal, i)
             value = self.apply(i, k_pow, value, n, refusal=refusal)
         return value

@@ -33,11 +33,10 @@ operations, whose operands are classes, do not check the ring again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable
 
-from .abelian import Element, _reduce
+from .abelian import Element, _frozen, _reduce
 from .cohomology import CohomologyRing, _add_cup
 
 __all__ = [
@@ -66,7 +65,7 @@ def choose2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
+@_frozen
 class KClass:
     """A stable class in Chern coordinates (rank, c1, c2); rank may be negative."""
 

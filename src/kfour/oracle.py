@@ -36,7 +36,6 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .abelian import (
@@ -44,6 +43,7 @@ from .abelian import (
     FgGroup,
     GroupStructureReport,
     InfiniteGroupError,
+    _frozen,
     _solve_relations,
 )
 from .cohomology import CohomologyRing
@@ -73,7 +73,7 @@ MAX_COUNTEREXAMPLES = 10
 DEFAULT_BOUND = 2
 
 
-@dataclass(frozen=True)
+@_frozen
 class Counterexample:
     inputs: tuple[tuple[str, object], ...]
     lhs: object
@@ -84,7 +84,7 @@ class Counterexample:
         return f"[{args}] lhs={self.lhs} rhs={self.rhs}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class RelationCheck:
     name: str
     description: str
@@ -97,7 +97,7 @@ class RelationCheck:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
+@_frozen
 class VerificationReport:
     checks: tuple[RelationCheck, ...]
 
@@ -401,7 +401,7 @@ def oracle_reduced_group(ring: CohomologyRing) -> GroupStructureReport:
     return _solve_relations(1 + len(L) + len(V), rows)
 
 
-@dataclass(frozen=True)
+@_frozen
 class OracleComparison:
     """Side-by-side result of the two reduced-group constructions."""
 

@@ -86,21 +86,23 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_MEMORY_CAP = 1 << 30  # bytes of address space for a capped CLI run
 
 
-def run_cli_capped(*argv, stdin, timeout):
+def run_cli_capped(*argv, stdin, timeout, env=None):
     """Run ``python -m kfour.cli argv`` in a child process with capped memory.
 
     The child's address space is limited to ``CLI_MEMORY_CAP`` and its wall
     time to ``timeout`` seconds (``subprocess.TimeoutExpired`` past that), so
     a case whose cost follows a huge declared generator count fails its test
     instead of exhausting the host.  Run such cases only through here, never
-    in-process.  Returns the ``CompletedProcess`` with text stdout and stderr.
+    in-process.  ``env`` adds variables to the child's environment.  Returns
+    the ``CompletedProcess`` with text stdout and stderr.
     """
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (CLI_MEMORY_CAP, CLI_MEMORY_CAP))
 
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = f"{SRC}{os.pathsep}{path}" if path else str(SRC)
     return subprocess.run(
         [sys.executable, "-m", "kfour.cli", *argv],
         input=stdin,

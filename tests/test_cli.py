@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
-from conftest import EXPR_FUZZ_PIECES, add_wrong_for_ranks, run_cli_capped
+from conftest import SRC, EXPR_FUZZ_PIECES, add_wrong_for_ranks, run_cli_capped
 from hypothesis import strategies as st
 
 from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
@@ -678,3 +680,35 @@ HUGE_FREE = "H2 free 100000000000 torsion\nH4 free 100000000000 torsion\n"
 def test_huge_declared_rank_costs_its_entries(source, command, expected):
     result = run_cli_capped(command, "-", stdin=source, timeout=5)
     assert (result.returncode, result.stderr, result.stdout) == (0, "", expected)
+
+
+def test_huge_power_without_digit_limit_exits_2():
+    # with the digit limit off, the rank is still bounded up front, at the
+    # interpreter's default limit
+    start = time.perf_counter()
+    result = run_cli_capped(
+        "eval", "-", "3^100000000", stdin=CP2_SOURCE, timeout=5,
+        env={"PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "kfour: line 1, column 3: power too large: a coordinate would pass "
+        f"{sys.int_info.default_max_str_digits} digits\n"
+    )
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_json():
+    # -S keeps site hooks out; -E keeps PYTHONPATH out, so src goes in by hand
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import kfour.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'kfour.oracle')"
+        " if m in sys.modules))"
+    )
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", probe], capture_output=True, text=True, timeout=5
+    )
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "['kfour.oracle']\n"
