@@ -23,10 +23,11 @@ integer exponent only) binds tighter than ``*``, which binds tighter than
 ``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep, and every
 value must stay printable, together with its decomposition n*1 + L(x) +
 V(y): an operation whose result passes the interpreter's digit limit is
-refused at its operator, a power at its exponent.  A power is computed in
-closed form and refused by its exact value, unless its rank alone is too
-large to compute, which is refused before anything is computed (with no digit
-limit, at ``sys.int_info.default_max_str_digits`` digits all the same).
+refused at its operator, a power at its exponent.  With no digit limit
+(``sys.set_int_max_str_digits(0)``), every result is held to the default
+limit, ``sys.int_info.default_max_str_digits`` digits, all the same.  A power
+is computed in closed form and refused by its exact value, unless its rank
+alone is too large to compute, which is refused before anything is computed.
 
 An expression is tokenized into plain strings by one regex scan, once a scan
 for stray characters (any but whitespace, letters and the grammar's own) has
@@ -309,10 +310,11 @@ class _ExprParser:
         self.tokens = _EXPR_TOKEN.findall(text) + [""]
         self.pos = 0
         self.depth = 0
-        # values must stay printable: str() refuses ints over ``limit`` digits
-        # (0 means no limit), which is every magnitude from ``too_big`` on
-        self.limit = sys.get_int_max_str_digits()
-        self.too_big = _power_of_ten(self.limit) if self.limit else None
+        # values must stay printable: str() refuses ints over ``limit`` digits,
+        # which is every magnitude from ``too_big`` on; with no limit (0), the
+        # interpreter's default bounds every result all the same
+        self.limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        self.too_big = _power_of_ten(self.limit)
 
     def position(self, i: int) -> tuple[int, int]:
         """Line and column of token ``i``, found by scanning the text again."""
@@ -353,9 +355,6 @@ class _ExprParser:
             raise self.error(f"unexpected trailing token '{self.peek()}'", self.pos)
         return value
 
-    def fits(self, *values: int) -> bool:
-        return self.too_big is None or max(map(abs, values)) < self.too_big
-
     def apply(self, op_index: int, op, *operands, refusal: str = "") -> KClass:
         """``op(ring, *operands)``, refused at its operator if it is unprintable.
 
@@ -364,7 +363,7 @@ class _ExprParser:
         """
         value = op(self.ring, *operands)
         n, _, _ = decompose(self.ring, value)
-        if not self.fits(value.rank, n, *value.c1, *value.c2):
+        if max(map(abs, (value.rank, n, *value.c1, *value.c2))) >= self.too_big:
             message = refusal or f"result has a coordinate over {self.limit} digits"
             raise self.error(message, op_index)
         return value
@@ -404,11 +403,10 @@ class _ExprParser:
             if not self.tokens[i].isdigit():
                 raise self.error("exponent must be a non-negative integer literal", i)
             n, r = self.literal(i), abs(value.rank)
-            bound = self.limit or sys.int_info.default_max_str_digits
-            refusal = f"power too large: a coordinate would pass {bound} digits"
-            # a rank past the bound by a digit is refused before it is
+            refusal = f"power too large: a coordinate would pass {self.limit} digits"
+            # a rank past the limit by a digit is refused before it is
             # computed: r^n itself could be far too large to compute
-            if r > 1 and n > (bound + 1) / math.log10(r):
+            if r > 1 and n > (self.limit + 1) / math.log10(r):
                 raise self.error(refusal, i)
             value = self.apply(i, k_pow, value, n, refusal=refusal)
         return value

@@ -10,9 +10,11 @@ Three independent checks live here:
 * :func:`verify_ring_axioms` grinds through commutativity, associativity,
   distributivity, unit and inverse laws on a whole block of classes, or on
   random triples.  The eight laws are written once, on interned class
-  indices.  Each checks a whole column of last operands at once by mapping
-  memoised rows of engine results over it, so the n^3 grind runs as C-level
-  lookups and the engine is called once per distinct operand pair.
+  indices.  Each checks a whole column of last operands at once, each side
+  one memoised row of engine results mapped over one column, so the n^3
+  grind runs as C-level lookups and the engine is called once per distinct
+  operand pair.  The exhaustive grind looks the columns b + c and b c over
+  the block up once per operand b, not once per pair (a, b).
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
@@ -242,37 +244,37 @@ class _Memo(dict):
         return value
 
 
-def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int):
+def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int,
+               sums: Callable, products: Callable):
     """The eight ring laws as (name, description, operand names, column law).
 
     A law takes its leading operands and a list of last operands and returns
     both sides for each, as two lists of interned indices (equal classes
-    compare equal).  Every sum, product and negative comes from the memos.
+    compare equal).  Every sum, product and negative comes from the memos, and
+    ``sums(b, cs)`` and ``products(b, cs)`` give the column of each b + c and
+    b c for c in cs, so that a ternary side is one row mapped over a column.
     """
 
-    def rows(memo: _Memo, column: list[int]) -> map:
-        return map(memo.__getitem__, column)
+    def rows(memo: _Memo, column: Iterable[int]) -> list[int]:
+        return list(map(memo.__getitem__, column))
 
     return (
         ("add_commutative", "a + b = b + a", "ab",
-            lambda a, bs: (list(rows(add[a], bs)), [add[b][a] for b in bs])),
+            lambda a, bs: (rows(add[a], bs), [add[b][a] for b in bs])),
         ("add_identity", "a + 0 = a", "a",
             lambda as_: ([add[a][zero] for a in as_], as_)),
         ("add_inverse", "a + (-a) = 0", "a",
             lambda as_: ([add[a][neg[a]] for a in as_], [zero] * len(as_))),
         ("mul_commutative", "a b = b a", "ab",
-            lambda a, bs: (list(rows(mul[a], bs)), [mul[b][a] for b in bs])),
+            lambda a, bs: (rows(mul[a], bs), [mul[b][a] for b in bs])),
         ("mul_identity", "a * 1 = a", "a",
             lambda as_: ([mul[a][one] for a in as_], as_)),
         ("add_associative", "(a + b) + c = a + (b + c)", "abc",
-            lambda a, b, cs: (list(rows(add[add[a][b]], cs)),
-                              list(rows(add[a], rows(add[b], cs))))),
+            lambda a, b, cs: (rows(add[add[a][b]], cs), rows(add[a], sums(b, cs)))),
         ("mul_associative", "(a b) c = a (b c)", "abc",
-            lambda a, b, cs: (list(rows(mul[mul[a][b]], cs)),
-                              list(rows(mul[a], rows(mul[b], cs))))),
+            lambda a, b, cs: (rows(mul[mul[a][b]], cs), rows(mul[a], products(b, cs)))),
         ("distributive", "a (b + c) = a b + a c", "abc",
-            lambda a, b, cs: (list(rows(mul[a], rows(add[b], cs))),
-                              list(rows(add[mul[a][b]], rows(mul[a], cs))))),
+            lambda a, b, cs: (rows(mul[a], sums(b, cs)), rows(add[mul[a][b]], products(a, cs)))),
     )
 
 
@@ -322,6 +324,12 @@ def verify_ring_axioms(
                 return (((a,), block[i + 1:]) for i, a in enumerate(block))
             return (((a, b), block) for a in block for b in block)
 
+        def through(row: _Memo) -> Callable[[int, list[int]], list[int]]:
+            # every ternary column is the block, so b + block and b block are
+            # looked up once per operand b and reused for every a
+            columns = _Memo(lambda b: list(map(row[b].__getitem__, block)))
+            return lambda b, cs: columns[b]
+
     else:
         rng = random.Random(seed)
 
@@ -341,21 +349,25 @@ def verify_ring_axioms(
         def cases(arity: int) -> Iterable[tuple[tuple[int, ...], list[int]]]:
             return ((triple[:arity - 1], [triple[arity - 1]]) for triple in triples)
 
+        def through(row: _Memo) -> Callable[[int, list[int]], map]:
+            return lambda b, cs: map(row[b].__getitem__, cs)
+
     # ``neg[a]`` is the interned -a; ``add[a]`` and ``mul[a]`` are the rows of
     # a, whose ``row[b]`` is the interned a + b or a b.  The engine functions
     # are read from the module here, so a replaced ``k_add``/``k_mul``/``k_neg``
     # reaches every law, and each is called once per distinct operand tuple.
-    def engine(op: Callable) -> Callable[..., int]:
-        return lambda *operands: intern(op(ring, *(classes[i] for i in operands)))
+    def engine(op: Callable) -> Callable[[int, int], int]:
+        return lambda a, b: intern(op(ring, classes[a], classes[b]))
 
     add, mul = (_Memo(lambda a, op=engine(op): _Memo(functools.partial(op, a)))
                 for op in (k_add, k_mul))
-    neg = _Memo(engine(k_neg))
+    neg = _Memo(lambda a: intern(k_neg(ring, classes[a])))
     zero = intern(integer_class(ring, 0))
     one = intern(integer_class(ring, 1))
+    laws = _ring_laws(add, mul, neg, zero, one, through(add), through(mul))
     checks = [
         _check(name, description, names, cases(len(names)), law, classes.__getitem__)
-        for name, description, names, law in _ring_laws(add, mul, neg, zero, one)
+        for name, description, names, law in laws
     ]
     return VerificationReport(tuple(checks))
 

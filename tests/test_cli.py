@@ -698,6 +698,22 @@ def test_huge_power_without_digit_limit_exits_2():
     )
 
 
+def test_huge_product_without_digit_limit_exits_2():
+    # with the digit limit off, every result is held to the interpreter's
+    # default limit, so the first product of two 4295-digit ranks is refused
+    start = time.perf_counter()
+    result = run_cli_capped(
+        "eval", "-", "*".join(["3^9000"] * 200), stdin=CP2_SOURCE, timeout=5,
+        env={"PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "kfour: line 1, column 7: result has a coordinate over "
+        f"{sys.int_info.default_max_str_digits} digits\n"
+    )
+
+
 def test_cli_import_leaves_out_dataclasses_inspect_and_json():
     # -S keeps site hooks out; -E keeps PYTHONPATH out, so src goes in by hand
     probe = (

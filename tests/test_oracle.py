@@ -405,6 +405,34 @@ class TestAxiomsMatchReference:
             assert not report.ok
             assert report == reference_ring_axioms(ring, **kwargs)
 
+    @pytest.mark.parametrize("op, sabotage", [
+        ("k_add", sabotaged_add), ("k_mul", sabotaged_mul), ("k_neg", sabotaged_neg),
+    ])
+    def test_sabotaged_engine_on_80_classes(self, monkeypatch, op, sabotage):
+        # a larger block, whose memo rows fill in another order than the
+        # reference's: the same failures, counterexamples and their order
+        monkeypatch.setattr(oracle_module, op, sabotage(getattr(oracle_module, op)))
+        ring = mixed_80_class_ring()
+        report = verify_ring_axioms(ring)
+        assert not report.ok
+        assert report == reference_ring_axioms(ring)
+
+    @pytest.mark.parametrize("rank_range", [(1, 0), (0, 0), (0, 1)],
+                             ids=["no-class", "one-class", "two-classes"])
+    @pytest.mark.parametrize("wrong", [False, True], ids=["engine", "wrong-0+0"])
+    def test_blocks_of_at_most_two_classes(self, monkeypatch, rank_range, wrong):
+        # columns of no last operand and of one read like any other
+        ring = make_ring(FgGroup(), FgGroup())
+        if wrong:
+            monkeypatch.setattr(oracle_module, "k_add",
+                                add_wrong_for_ranks(oracle_module.k_add, (0, 0)))
+        report = verify_ring_axioms(ring, rank_range=rank_range)
+        n = rank_range[1] - rank_range[0] + 1
+        assert report.check("distributive").instances == n**3
+        assert report.check("distributive").ok == (not wrong or not n)
+        assert report == reference_ring_axioms(ring, rank_range=rank_range)
+
+
 class TestOracleReducedGroup:
     def test_rp4(self):
         assert oracle_reduced_group(rp4()) == GroupStructureReport(0, (4,))
