@@ -12,92 +12,19 @@ All arithmetic is exact (arbitrary-precision integers); every value is
 immutable and safe to share across threads.
 """
 
-from .abelian import (
-    Element,
-    FgGroup,
-    GroupStructureReport,
-    InfiniteGroupError,
-    IntMatrix,
-    group_from_relations,
-    smith_normal_form,
-)
-from .cohomology import (
-    CohomologyRing,
-    CupForm,
-    InvalidRingError,
-    ValidationIssue,
-    ValidationReport,
-    validate_ring,
-)
-from .dsl import ParseError, eval_expr, parse_ring, serialize_ring
-from .kclasses import (
-    KClass,
-    MixedRingError,
-    choose2,
-    decompose,
-    integer_class,
-    k_add,
-    k_mul,
-    k_neg,
-    k_pow,
-    k_scale,
-    line_class,
-    rank2_class,
-    reduced_part,
-)
-from .oracle import (
-    Counterexample,
-    OracleComparison,
-    RelationCheck,
-    VerificationReport,
-    oracle_compare,
-    oracle_reduced_group,
-    verify_relations,
-    verify_ring_axioms,
-)
-from .structure import full_k_structure, reduced_k_structure
+from . import abelian, cohomology, dsl, kclasses, oracle, structure
+from .abelian import *
+from .cohomology import *
+from .dsl import *
+from .kclasses import *
+from .oracle import *
+from .structure import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CohomologyRing",
-    "Counterexample",
-    "CupForm",
-    "Element",
-    "FgGroup",
-    "GroupStructureReport",
-    "InfiniteGroupError",
-    "IntMatrix",
-    "InvalidRingError",
-    "KClass",
-    "MixedRingError",
-    "OracleComparison",
-    "ParseError",
-    "RelationCheck",
-    "ValidationIssue",
-    "ValidationReport",
-    "VerificationReport",
-    "choose2",
-    "decompose",
-    "eval_expr",
-    "full_k_structure",
-    "group_from_relations",
-    "integer_class",
-    "k_add",
-    "k_mul",
-    "k_neg",
-    "k_pow",
-    "k_scale",
-    "line_class",
-    "oracle_compare",
-    "oracle_reduced_group",
-    "parse_ring",
-    "rank2_class",
-    "reduced_k_structure",
-    "reduced_part",
-    "serialize_ring",
-    "smith_normal_form",
-    "validate_ring",
-    "verify_relations",
-    "verify_ring_axioms",
-]
+# a public name is declared once, in its module's __all__
+__all__ = sorted(
+    name
+    for module in (abelian, cohomology, dsl, kclasses, oracle, structure)
+    for name in module.__all__
+)

@@ -2,7 +2,8 @@
 
 Subcommands: structure, eval, verify, table, fmt.  Ring files are read from a
 path or from standard input when the path is '-'.  Exit codes: 0 success,
-1 usage error, 2 parse or validation error, 3 verification failure.
+1 usage error, 2 parse or validation error, 3 verification failure, 130
+interrupted (Ctrl-C), as shells report a SIGINT.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPT = 130
 
 DEFAULT_TABLE_LIMIT = 64
 
@@ -115,16 +117,23 @@ def _print_json(payload) -> None:
 def _cmd_structure(ring: CohomologyRing, args) -> int:
     reduced = reduced_k_structure(ring)
     full = _full_from_reduced(reduced)
+    try:
+        rendered = {"full": str(full), "reduced": str(reduced)}
+    except ValueError:  # str() refuses an int past the digit limit
+        raise _UsageError(
+            "an invariant factor of the K-group has over "
+            f"{sys.get_int_max_str_digits()} digits, the limit for printing integers"
+        ) from None
     if args.json:
         _print_json(
             {
                 "full": _group_json(full),
                 "reduced": _group_json(reduced),
-                "rendered": {"full": str(full), "reduced": str(reduced)},
+                "rendered": rendered,
             }
         )
     else:
-        print(f"K0 = {full}; reduced = {reduced}")
+        print(f"K0 = {rendered['full']}; reduced = {rendered['reduced']}")
     return EXIT_OK
 
 
@@ -295,6 +304,9 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"kfour: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except KeyboardInterrupt:
+        print("kfour: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

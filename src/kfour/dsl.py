@@ -17,17 +17,18 @@ Expressions combine the two bundle constructors with ring arithmetic::
     (L([1]) - 1)^2 + 2*(L([1]) - 1)
 
 ``L([k1,...,kp])`` / ``V([k1,...,kq])`` take coordinate lists over the H^2 /
-H^4 generators, integer literals are ASCII digits of any length the
-interpreter converts (a longer one is a ParseError), and ``^`` (non-negative
-integer exponent only) binds tighter than ``*``, which binds tighter than
-``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep, and every
-value must stay printable, together with its decomposition n*1 + L(x) +
-V(y): an operation whose result passes the interpreter's digit limit is
-refused at its operator, a power at its exponent.  With no digit limit
-(``sys.set_int_max_str_digits(0)``), every result is held to the default
-limit, ``sys.int_info.default_max_str_digits`` digits, all the same.  A power
-is computed in closed form and refused by its exact value, unless its rank
-alone is too large to compute, which is refused before anything is computed.
+H^4 generators, integer literals are ASCII digits, no more of them than the
+interpreter's digit limit (a longer one is a ParseError), and ``^``
+(non-negative integer exponent only) binds tighter than ``*``, which binds
+tighter than ``+`` and ``-``.  Parentheses nest at most ``MAX_NESTING`` deep,
+and every value must stay printable, together with its decomposition n*1 +
+L(x) + V(y): an operation whose result passes the interpreter's digit limit
+is refused at its operator, a power at its exponent.  With no digit limit
+(``sys.set_int_max_str_digits(0)``), every literal and every result is held
+to the default limit, ``sys.int_info.default_max_str_digits`` digits, all the
+same.  A power is computed in closed form and refused by its exact value,
+unless its rank alone is too large to compute, which is refused before
+anything is computed.
 
 An expression is tokenized into plain strings by one regex scan, once a scan
 for stray characters (any but whitespace, letters and the grammar's own) has
@@ -344,10 +345,12 @@ class _ExprParser:
         return i
 
     def literal(self, i: int) -> int:
-        try:
-            return int(self.tokens[i])
-        except ValueError:  # too long; _int_literal words the error
-            return _int_literal(self.tokens[i], *self.position(i))
+        digits = len(self.tokens[i])
+        if digits > self.limit:  # int() refuses these too, unless the limit is off
+            raise self.error(
+                f"integer literal too long ({digits} digits; the limit is {self.limit})", i
+            )
+        return int(self.tokens[i])
 
     def parse(self) -> KClass:
         value = self.expr()

@@ -7,6 +7,7 @@ Sizes 8 and 9 are paired with small partners so that exhaustive ternary
 axiom checks stay tractable.
 """
 
+import importlib.util
 import itertools
 import math
 import os
@@ -84,6 +85,15 @@ EXPR_FUZZ_PIECES = [
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLI_MEMORY_CAP = 1 << 30  # bytes of address space for a capped CLI run
+
+# tools/golden.py: the golden records' matrix and runner, and the sabotaged
+# engines that tests/test_oracle.py uses as well
+_spec = importlib.util.spec_from_file_location("golden", SRC.parent / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+sabotaged_add, sabotaged_mul, sabotaged_neg = (
+    golden.sabotaged_add, golden.sabotaged_mul, golden.sabotaged_neg
+)
 
 
 def run_cli_capped(*argv, stdin, timeout, env=None):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -19,6 +21,10 @@ from kfour.kclasses import KClass
 RP4_SOURCE = "H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 = 1\n"
 CP2_SOURCE = "H2 free 1 torsion\nH4 free 1 torsion\ncup 1 1 = 1\n"
 Z4_SOURCE = "H2 free 0 torsion 4\nH4 free 0 torsion 4\ncup 1 1 = 1\n"
+Z4_Z4_SOURCE = (
+    "H2 free 0 torsion 4 4\nH4 free 0 torsion 4 4\n"
+    "cup 1 1 = 1 0\ncup 1 2 = 0 1\ncup 2 2 = 1 1\n"
+)
 
 # Full stdout of `kfour verify`, pinned byte for byte.
 RP4_VERIFY = """\
@@ -304,6 +310,20 @@ class TestStructure:
         assert time.process_time() - start < 5
         assert code == 0
         assert out.endswith("; reduced = " + " ⊕ ".join(["Z/2"] * 999 + ["Z/4"]) + "\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_invariant_factor_past_digit_limit_is_refused(self, capsys, tmp_path, flags):
+        # N has 4300 digits and parses; the reduced group Z/(N/2) + Z/2N
+        # has a 4301-digit factor, which str() refuses
+        n = 6 * 10**4299
+        path = tmp_path / "huge_torsion.ring"
+        path.write_text(f"H2 free 0 torsion {n}\nH4 free 0 torsion {n}\ncup 1 1 = 1\n")
+        assert run(capsys, "structure", str(path), *flags) == (
+            1,
+            "",
+            "kfour: error: an invariant factor of the K-group has over "
+            f"{sys.get_int_max_str_digits()} digits, the limit for printing integers\n",
+        )
 
 
 class TestEval:
@@ -712,6 +732,38 @@ def test_huge_product_without_digit_limit_exits_2():
         "kfour: line 1, column 7: result has a coordinate over "
         f"{sys.int_info.default_max_str_digits} digits\n"
     )
+
+
+def test_long_literal_without_digit_limit_exits_2():
+    # with the digit limit off, a bare literal is held to the default limit
+    # as every result is, and worded as the default limit words it
+    limit = sys.int_info.default_max_str_digits
+    result = run_cli_capped(
+        "eval", "-", "7" * (limit + 1), stdin=CP2_SOURCE, timeout=5,
+        env={"PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"kfour: line 1, column 1: integer literal too long ({limit + 1} digits; "
+        f"the limit is {limit})\n"
+    )
+
+
+def test_interrupt_exits_130_without_traceback(tmp_path):
+    # the exhaustive axiom grind on this ring runs far past the second the
+    # child gets before its SIGINT
+    ring = tmp_path / "z4_z4.ring"
+    ring.write_text(Z4_Z4_SOURCE)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "kfour.cli", "verify", str(ring), "--axioms"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    time.sleep(1)
+    child.send_signal(signal.SIGINT)
+    out, err = child.communicate(timeout=10)
+    assert (child.returncode, out, err) == (130, "", "kfour: interrupted\n")
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_json():

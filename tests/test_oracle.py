@@ -3,6 +3,7 @@ import random
 
 import pytest
 from conftest import add_wrong_for_ranks
+from conftest import sabotaged_add, sabotaged_mul, sabotaged_neg
 
 from kfour import abelian as abelian_module
 from kfour.abelian import FgGroup, GroupStructureReport, InfiniteGroupError
@@ -279,27 +280,6 @@ def z4_z4():
 
 def mixed_80_class_ring():
     return make_ring(FgGroup(0, (2, 2)), FgGroup(0, (4,)), {(0, 0): (2,), (0, 1): (2,)})
-
-
-def sabotaged_add(real):
-    def broken(ring, a, b):
-        c = real(ring, a, b)
-        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup(a.c1, a.c1)))
-    return broken
-
-
-def sabotaged_mul(real):
-    def broken(ring, a, b):
-        c = real(ring, a, b)
-        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup_square(a.c1)))
-    return broken
-
-
-def sabotaged_neg(real):
-    def broken(ring, a):
-        c = real(ring, a)
-        return KClass(ring, c.rank, c.c1, ring.h4.add(c.c2, ring.cup_square(c.c1)))
-    return broken
 
 
 class Unmemoised:
