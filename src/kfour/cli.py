@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .abelian import GroupStructureReport
-from .cohomology import CohomologyRing
+from .cohomology import CohomologyRing, _require_coordinates
 from .dsl import ParseError, eval_expr, parse_ring, serialize_ring
 from .kclasses import KClass, decompose
 from .oracle import (
@@ -53,14 +53,14 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text, run):
+    def add(name, help_text, run, classes=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ringfile", help="ring description file, or '-' for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, classes=classes)
         return p
 
-    add("structure", "print the isomorphism type of the K-group", _cmd_structure)
+    add("structure", "print the isomorphism type of the K-group", _cmd_structure, False)
     p_eval = add("eval", "evaluate a class expression", _cmd_eval)
     p_eval.add_argument("expr", help="expression over L([...]), V([...]) and integers")
     p_verify = add("verify", "re-check the defining relations by brute force", _cmd_verify)
@@ -77,7 +77,7 @@ def _build_parser() -> _ArgumentParser:
         "--limit", type=int, default=DEFAULT_TABLE_LIMIT, metavar="N",
         help=f"largest class count to tabulate (default {DEFAULT_TABLE_LIMIT})",
     )
-    add("fmt", "canonicalize a ring description", _cmd_fmt)
+    add("fmt", "canonicalize a ring description", _cmd_fmt, False)
     return parser
 
 
@@ -297,6 +297,11 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _UsageError("a command is required")
         ring = _load_ring(args.ringfile)
+        if args.classes:  # refused before anything of the declared length is built
+            try:
+                _require_coordinates(ring)
+            except ValueError as err:
+                raise _UsageError(err) from None
         return args.run(ring, args)
     except (_UsageError, OSError) as err:
         print(f"kfour: error: {err}", file=sys.stderr)

@@ -4,11 +4,14 @@ Only the degree-2 x degree-2 -> degree-4 part of the cup product carries
 information here; H^0 acts by integer scaling and every other product of
 positive-degree classes lands above the dimension of the space.  The pairing
 is stored as its nonzero values on pairs of generators only, reduced once
-when the ring is built, and extended bilinearly on demand: each ring
-flattens those values into plain-int terms once, on first use, and a cup
-(like every K-class result built on it) is summed on raw ints and reduced
-once at the end.  Building, validating and printing a ring cost what its
-entries cost, whatever ranks it declares.
+when the ring is built, and extended bilinearly on demand.  On the first
+use of an operation, the cup or one of the K-class engine's, a ring compiles
+it into a straight-line kernel: every coordinate a local, every cup term one
+statement with its coefficients as literals, and every result coordinate
+reduced once, by its modulus as a literal.  Building, validating and
+printing a ring cost what its entries cost, whatever ranks it declares; a
+class or a kernel is built only over a ring with at most MAX_COORDINATES
+coordinates in H^2 and H^4 together.
 
 A ring value can always be constructed, even from mathematically inconsistent
 data; :func:`validate_ring` reports every violation.  A K-class cannot be
@@ -124,20 +127,107 @@ class InvalidRingError(ValueError):
         self.report = report
 
 
-def _add_cup(out: list[int], terms, a, b, p: int, q: int = 0, s: int = 0) -> None:
-    """Add sum over (i, j) of (p a_i b_j + q a_i a_j + s b_i b_j) e_ij to out.
+# h2.ngens + h4.ngens, the length of a class, past which no class or kernel
+# is built; a kernel unrolls every coordinate, so it compiles in time linear
+# in their number (about 15 ms for 1,000 on Python 3.11)
+MAX_COORDINATES = 10_000
 
-    ``out`` holds raw H^4 coordinates; nothing is reduced here.
+
+def _require_coordinates(ring: CohomologyRing) -> None:
+    """Refuse a ring whose classes would have over ``MAX_COORDINATES`` coordinates.
+
+    A class has h2.ngens + h4.ngens coordinates and a kernel a few statements
+    per coordinate, so the check is made on the declared ranks, before
+    anything of that length is built.
     """
-    for i, j, entry in terms:
-        w = p * a[i] * b[j]
-        if q:
-            w += q * a[i] * a[j]
-        if s:
-            w += s * b[i] * b[j]
-        if w:
-            for k, v in entry:
-                out[k] += w * v
+    count = ring.h2.ngens + ring.h4.ngens
+    if count > MAX_COORDINATES:
+        raise ValueError(
+            f"a class over this ring has {count} coordinates; "
+            f"the limit is {MAX_COORDINATES}"
+        )
+
+
+def _compile(ring: CohomologyRing, op: str):
+    """The ring's straight-line kernel for ``op``, compiled from source.
+
+    ``op`` is "cup", taking two canonical H^2 elements, or one of the K-class
+    engine's "add" (ring, a, b), "mul" (ring, a, b) and "affine" (ring, a,
+    rank, m, w), which gives the class (rank, m c1, m c2 + w c1^2).  Every
+    coordinate is a local, every ordered cup term one statement with its
+    coefficients as literals, and every result coordinate is reduced once, by
+    its modulus as a literal.  The kernel keeps no reference to the ring, so
+    a ring that holds its kernels is freed without the cycle collector.
+    """
+    _require_coordinates(ring)
+    m2, m4 = ring.h2._moduli, ring.h4._moduli
+    terms = [
+        (i, j, [(k, v) for k, v in enumerate(entry) if v])
+        for (i, j), entry in ring.cup_form.pairs
+    ]
+
+    def unpack(name: str, count: int, source: str) -> list[str]:
+        return [f"{''.join(f'{name}{k}, ' for k in range(count))}= {source}"] if count else []
+
+    def factor(expr: str) -> str:
+        return expr if expr.isidentifier() else f"({expr})"
+
+    def reduced(exprs: Iterable[str], moduli: tuple[int, ...]) -> str:
+        return "(" + "".join(f"{factor(e)} % {m}, " if m else f"{e}, "
+                             for e, m in zip(exprs, moduli)) + ")"
+
+    # a, b: the H^2 operands; f, g: the H^4 ones; r: the H^4 sums; u and t
+    # weigh a generator's coordinates once, for every term that reads them
+    firsts, seconds = sorted({i for i, _, _ in terms}), sorted({j for _, j, _ in terms})
+    a, b = unpack("a", len(m2), "a.c1"), unpack("b", len(m2), "b.c1")
+    f, g = unpack("f", len(m4), "a.c2"), unpack("g", len(m4), "b.c2")
+    if op == "cup":
+        head = [*unpack("a", len(m2), "x"), *unpack("b", len(m2), "y")]
+        weight, start, c1 = "a{i} * b{j}", "0", None
+    elif op == "add":
+        head = a + b + f + g
+        weight, start, c1, rank = "a{i} * b{j}", "f{k} + g{k}", "a{k} + b{k}", "a.rank + b.rank"
+    elif op == "mul":
+        # p a_i b_j + q a_i a_j + s b_i b_j = a_i (p b_j + q a_j) + (s b_i) b_j
+        head = ["ra = a.rank", "rb = b.rank", *a, *b, *f, *g]
+        if terms:
+            head += ["p = ra * rb - 1", "q = rb * (rb - 1) // 2", "s = ra * (ra - 1) // 2"]
+        head += [f"u{j} = p * b{j} + q * a{j}" for j in seconds]
+        head += [f"t{i} = s * b{i}" for i in firsts]
+        weight, start = "a{i} * u{j} + t{i} * b{j}", "ra * g{k} + rb * f{k}"
+        c1, rank = "rb * a{k} + ra * b{k}", "ra * rb"
+    else:  # affine
+        head = a + f + [f"t{i} = w * a{i}" for i in firsts]
+        weight, start, c1, rank = "t{i} * a{j}", "m * f{k}", "m * a{k}", "rank"
+    body = [f"r{k} = {start.format(k=k)}" for k in range(len(m4))]
+    for i, j, coeffs in terms:
+        w = weight.format(i=i, j=j)
+        if len(coeffs) > 1:  # weighed once, added to each coordinate
+            body.append(f"z = {w}")
+            w = "z"
+        body += [f"r{k} += {w}" if v == 1 else f"r{k} += {v} * {factor(w)}" for k, v in coeffs]
+    c2 = reduced((f"r{k}" for k in range(len(m4))), m4)
+    namespace: dict = {}
+    if c1 is None:
+        args, tail = "x, y", [f"return {c2}"]
+    else:
+        from .kclasses import KClass  # a late import: kclasses builds on this module
+
+        namespace.update(new=object.__new__, KClass=KClass)
+        args = "ring, a, rank, m, w" if op == "affine" else "ring, a, b"
+        tail = [
+            "value = new(KClass)",
+            "fields = value.__dict__",
+            "fields['ring'] = ring",
+            f"fields['rank'] = {rank}",
+            f"fields['c1'] = {reduced((c1.format(k=k) for k in range(len(m2))), m2)}",
+            f"fields['c2'] = {c2}",
+            "return value",
+        ]
+    exec(f"def {op}({args}):\n" + "".join(f" {line}\n" for line in head + body + tail),
+         namespace)
+    # taken out, so that the namespace and the kernel do not form a cycle
+    return namespace.pop(op)
 
 
 @_frozen
@@ -170,11 +260,7 @@ class CohomologyRing:
         """Bilinear extension of the generator table: sum of a_i b_j (e_i e_j)."""
         x = self.h2.canonical(a)
         # a square reads its argument once, which may be an iterator
-        y = x if b is a else self.h2.canonical(b)
-        moduli = self.h4._moduli
-        total = [0] * len(moduli)
-        _add_cup(total, self._cup_kernel, x, y, 1)
-        return _reduce(total, moduli)
+        return self._cup_kernel(x, x if b is a else self.h2.canonical(b))
 
     def cup_square(self, a: Iterable[int]) -> Element:
         return self.cup(a, a)
@@ -193,18 +279,28 @@ class CohomologyRing:
         # frozen value class still allows, so the report dies with the ring.
         return _validate(self)
 
-    @cached_property
-    def _cup_kernel(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-        """The cup form as plain-int terms, the input of :func:`_add_cup`.
+    # The straight-line kernels of :func:`_compile`: each is compiled on its
+    # first use and kept in the ring's __dict__, like the validation.
 
-        Every nonzero entry e_ij appears as (i, j, ((k, coeff), ...)) over
-        the H^4 coordinates k.  Built on first use and kept with the ring,
-        like the validation.
-        """
-        return tuple(
-            (i, j, tuple((k, v) for k, v in enumerate(entry) if v))
-            for (i, j), entry in self.cup_form.pairs
-        )
+    @cached_property
+    def _cup_kernel(self):
+        return _compile(self, "cup")
+
+    @cached_property
+    def _add_kernel(self):
+        return _compile(self, "add")
+
+    @cached_property
+    def _mul_kernel(self):
+        return _compile(self, "mul")
+
+    @cached_property
+    def _affine_kernel(self):
+        return _compile(self, "affine")
+
+    def __getstate__(self) -> dict:
+        # pickle cannot name compiled kernels; an unpickled ring compiles its own
+        return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"

@@ -21,10 +21,14 @@ extends the products of the L and V generators to all virtual classes; the
 oracle module re-derives those generator products independently and checks
 the formula against them.
 
-Each operation, powers included, sums every coordinate of its closed form
-as a raw integer over the ring's flattened cup terms and hands the sums to
-one private constructor, which reduces each coordinate once and builds the
-class without a second pass through the groups.
+Each operation runs a kernel that the cohomology module compiles for its
+ring on the operation's first call and keeps with the ring: straight-line
+code that sums every coordinate of the closed form as a raw integer, one
+statement per cup term, reduces it once and builds the class without a
+second pass through the groups.  Addition and the product have a kernel
+each; negation, scaling and powers share the affine one, which gives
+(rank, m c1, m c2 + w c1^2).  A class has h2.ngens + h4.ngens coordinates,
+and none is built past the cohomology module's MAX_COORDINATES.
 
 Classes remember their ring, and every binary operation refuses operands
 from different rings.  A class can only be built over a valid ring, so the
@@ -33,11 +37,8 @@ operations, whose operands are classes, do not check the ring again.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Iterable
-
-from .abelian import Element, _frozen, _reduce
-from .cohomology import CohomologyRing, _add_cup
+from .abelian import Element, _frozen
+from .cohomology import CohomologyRing, _require_coordinates
 
 __all__ = [
     "KClass",
@@ -75,6 +76,7 @@ class KClass:
     c2: Element
 
     def __post_init__(self) -> None:
+        _require_coordinates(self.ring)
         self.ring.require_valid()
         object.__setattr__(self, "c1", self.ring.h2.canonical(self.c1))
         object.__setattr__(self, "c2", self.ring.h4.canonical(self.c2))
@@ -128,19 +130,8 @@ class KClass:
         return k_pow(self.ring, self, exponent)
 
 
-def _result(ring: CohomologyRing, rank: int, c1: Iterable[int], c2: Iterable[int]) -> KClass:
-    """An engine result over a class's valid ring, from raw coordinate sums.
-
-    Each coordinate is reduced once, here, by its group's moduli; the ring
-    needs no check, as the operands were built over it.
-    """
-    value = object.__new__(KClass)
-    c1, c2 = _reduce(c1, ring.h2._moduli), _reduce(c2, ring.h4._moduli)
-    value.__dict__.update(ring=ring, rank=rank, c1=c1, c2=c2)
-    return value
-
-
 def _check_ring(ring: CohomologyRing, *classes: KClass) -> None:
+    # the operations call this only when an operand's ring is another object
     for c in classes:
         # equal rings that are distinct objects still combine
         if c.ring is not ring and c.ring != ring:
@@ -151,38 +142,41 @@ def _check_ring(ring: CohomologyRing, *classes: KClass) -> None:
 
 def integer_class(ring: CohomologyRing, n: int) -> KClass:
     """n copies of the trivial line bundle: the class (n, 0, 0)."""
+    _require_coordinates(ring)  # before a zero of the declared length
     return KClass(ring, n, ring.h2.zero, ring.h4.zero)
 
 
 def line_class(ring: CohomologyRing, x) -> KClass:
     """The line bundle with first Chern class x: the class (1, x, 0)."""
+    _require_coordinates(ring)  # before a zero of the declared length
     return KClass(ring, 1, x, ring.h4.zero)
 
 
 def rank2_class(ring: CohomologyRing, y) -> KClass:
     """The rank-2 bundle with c1 = 0 and c2 = y: the class (2, 0, y)."""
+    _require_coordinates(ring)  # before a zero of the declared length
     return KClass(ring, 2, ring.h2.zero, y)
 
 
 def k_add(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     """Whitney sum: ranks and c1 add, c2 adds plus the cup cross term."""
-    _check_ring(ring, a, b)
-    c2 = list(map(add, a.c2, b.c2))
-    _add_cup(c2, ring._cup_kernel, a.c1, b.c1, 1)
-    return _result(ring, a.rank + b.rank, map(add, a.c1, b.c1), c2)
+    if a.ring is not ring or b.ring is not ring:
+        _check_ring(ring, a, b)
+    return ring._add_kernel(ring, a, b)
 
 
 def k_neg(ring: CohomologyRing, a: KClass) -> KClass:
     """Additive inverse: (-rank, -c1, c1^2 - c2), the -1 multiple as T(-1) = 1."""
-    return k_scale(ring, -1, a)
+    if a.ring is not ring:
+        _check_ring(ring, a)
+    return ring._affine_kernel(ring, a, -a.rank, -1, 1)
 
 
 def k_scale(ring: CohomologyRing, n: int, a: KClass) -> KClass:
     """n-fold sum: (n rank, n c1, n c2 + T(n) c1^2)."""
-    _check_ring(ring, a)
-    c2 = [n * y for y in a.c2]
-    _add_cup(c2, ring._cup_kernel, a.c1, a.c1, choose2(n))
-    return _result(ring, n * a.rank, [n * x for x in a.c1], c2)
+    if a.ring is not ring:
+        _check_ring(ring, a)
+    return ring._affine_kernel(ring, a, n * a.rank, n, choose2(n))
 
 
 def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
@@ -191,12 +185,9 @@ def k_mul(ring: CohomologyRing, a: KClass, b: KClass) -> KClass:
     c2 takes one pass over the cup terms, each weighted by
     (ra rb - 1) a_i b_j + T(rb) a_i a_j + T(ra) b_i b_j.
     """
-    _check_ring(ring, a, b)
-    ra, rb = a.rank, b.rank
-    c2 = [ra * y + rb * x for x, y in zip(a.c2, b.c2)]
-    _add_cup(c2, ring._cup_kernel, a.c1, b.c1, ra * rb - 1, choose2(rb), choose2(ra))
-    c1 = [rb * x + ra * y for x, y in zip(a.c1, b.c1)]
-    return _result(ring, ra * rb, c1, c2)
+    if a.ring is not ring or b.ring is not ring:
+        _check_ring(ring, a, b)
+    return ring._mul_kernel(ring, a, b)
 
 
 def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
@@ -208,14 +199,13 @@ def k_pow(ring: CohomologyRing, a: KClass, exponent: int) -> KClass:
     """
     if exponent < 0:
         raise ValueError(f"exponent must be non-negative, got {exponent}")
-    _check_ring(ring, a)
+    if a.ring is not ring:
+        _check_ring(ring, a)
     n, r = exponent, a.rank
     # spelled out for small n, which would need r^-1 (0**-1 fails for r = 0)
     m = n * r ** (n - 1) if n else 0
     k = choose2(n) * r ** (n - 2) if n > 1 else 0
-    c2 = [m * y for y in a.c2]
-    _add_cup(c2, ring._cup_kernel, a.c1, a.c1, choose2(m) - k)
-    return _result(ring, r**n, [m * x for x in a.c1], c2)
+    return ring._affine_kernel(ring, a, r**n, m, choose2(m) - k)
 
 
 def decompose(ring: CohomologyRing, a: KClass) -> tuple[int, Element, Element]:

@@ -13,8 +13,11 @@ Three independent checks live here:
   indices.  Each checks a whole column of last operands at once, each side
   one memoised row of engine results mapped over one column, so the n^3
   grind runs as C-level lookups and the engine is called once per distinct
-  operand pair.  The exhaustive grind looks the columns b + c and b c over
-  the block up once per operand b, not once per pair (a, b).
+  operand pair.  The exhaustive grind looks the column s + c or s c over the
+  block up once per index s and reads it wherever a law needs it: for
+  a + (b + c) and a (b c) that is the column of b, for (a + b) + c and
+  (a b) c the column of a + b or a b itself.  So each pair (a, b) maps four
+  memo rows over the block, not six.
 
 * :func:`oracle_reduced_group` rebuilds the reduced K-group a second way:
   as the free abelian group on one formal symbol per line bundle, rank-2
@@ -48,7 +51,7 @@ from .abelian import (
     _frozen,
     _solve_relations,
 )
-from .cohomology import CohomologyRing
+from .cohomology import CohomologyRing, _require_coordinates
 from .kclasses import (
     KClass,
     integer_class,
@@ -203,6 +206,7 @@ def verify_relations(ring: CohomologyRing, bound: int = DEFAULT_BOUND) -> Verifi
     on every valid ring.
     """
     ring.require_valid()
+    _require_coordinates(ring)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
@@ -251,8 +255,9 @@ def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int,
     A law takes its leading operands and a list of last operands and returns
     both sides for each, as two lists of interned indices (equal classes
     compare equal).  Every sum, product and negative comes from the memos, and
-    ``sums(b, cs)`` and ``products(b, cs)`` give the column of each b + c and
-    b c for c in cs, so that a ternary side is one row mapped over a column.
+    ``sums(b, cs)`` and ``products(b, cs)`` give the list of each b + c and
+    b c for c in cs, so that a ternary side is that list, or one row mapped
+    over it: (a + b) + c is the column of the index a + b, read as it is.
     """
 
     def rows(memo: _Memo, column: Iterable[int]) -> list[int]:
@@ -270,9 +275,9 @@ def _ring_laws(add: _Memo, mul: _Memo, neg: _Memo, zero: int, one: int,
         ("mul_identity", "a * 1 = a", "a",
             lambda as_: ([mul[a][one] for a in as_], as_)),
         ("add_associative", "(a + b) + c = a + (b + c)", "abc",
-            lambda a, b, cs: (rows(add[add[a][b]], cs), rows(add[a], sums(b, cs)))),
+            lambda a, b, cs: (sums(add[a][b], cs), rows(add[a], sums(b, cs)))),
         ("mul_associative", "(a b) c = a (b c)", "abc",
-            lambda a, b, cs: (rows(mul[mul[a][b]], cs), rows(mul[a], products(b, cs)))),
+            lambda a, b, cs: (products(mul[a][b], cs), rows(mul[a], products(b, cs)))),
         ("distributive", "a (b + c) = a b + a c", "abc",
             lambda a, b, cs: (rows(mul[a], sums(b, cs)), rows(add[mul[a][b]], products(a, cs)))),
     )
@@ -294,6 +299,7 @@ def verify_ring_axioms(
     infinite cohomology.
     """
     ring.require_valid()
+    _require_coordinates(ring)
     lo, hi = rank_range
     # Sums and products escape the drawn classes, so the list grows as the
     # memos fill.  Each distinct class gets one index, so equal classes
@@ -326,7 +332,8 @@ def verify_ring_axioms(
 
         def through(row: _Memo) -> Callable[[int, list[int]], list[int]]:
             # every ternary column is the block, so b + block and b block are
-            # looked up once per operand b and reused for every a
+            # looked up once per index b, an operand or a sum or product of
+            # two, and reused for every triple that reads them
             columns = _Memo(lambda b: list(map(row[b].__getitem__, block)))
             return lambda b, cs: columns[b]
 
@@ -349,8 +356,8 @@ def verify_ring_axioms(
         def cases(arity: int) -> Iterable[tuple[tuple[int, ...], list[int]]]:
             return ((triple[:arity - 1], [triple[arity - 1]]) for triple in triples)
 
-        def through(row: _Memo) -> Callable[[int, list[int]], map]:
-            return lambda b, cs: map(row[b].__getitem__, cs)
+        def through(row: _Memo) -> Callable[[int, list[int]], list[int]]:
+            return lambda b, cs: list(map(row[b].__getitem__, cs))
 
     # ``neg[a]`` is the interned -a; ``add[a]`` and ``mul[a]`` are the rows of
     # a, whose ``row[b]`` is the interned a + b or a b.  The engine functions

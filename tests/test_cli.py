@@ -13,6 +13,7 @@ from conftest import SRC, EXPR_FUZZ_PIECES, add_wrong_for_ranks, run_cli_capped
 from hypothesis import strategies as st
 
 from kfour import cli, oracle_reduced_group, parse_ring, reduced_k_structure
+from kfour.cohomology import MAX_COORDINATES
 from kfour import oracle as oracle_module
 from kfour import structure as structure_module
 from kfour.abelian import IntMatrix
@@ -700,6 +701,23 @@ HUGE_FREE = "H2 free 100000000000 torsion\nH4 free 100000000000 torsion\n"
 def test_huge_declared_rank_costs_its_entries(source, command, expected):
     result = run_cli_capped(command, "-", stdin=source, timeout=5)
     assert (result.returncode, result.stderr, result.stdout) == (0, "", expected)
+
+
+@pytest.mark.parametrize("source, coordinates", [(HUGE_TWISTED, 100000000002),
+                                                 (HUGE_FREE, 200000000000)],
+                         ids=["twisted", "free"])
+@pytest.mark.parametrize("argv", [("eval", "1"), ("eval", "V([0])"), ("verify",),
+                                  ("verify", "--axioms"), ("table",)],
+                         ids=["eval-1", "eval-V", "verify", "verify-axioms", "table"])
+def test_huge_declared_rank_refused_where_classes_are_built(source, coordinates, argv):
+    # a class would have one coordinate per generator, so these commands stop
+    # at the coordinate limit before anything of the declared length exists
+    result = run_cli_capped(argv[0], "-", *argv[1:], stdin=source, timeout=5)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"kfour: error: a class over this ring has {coordinates} coordinates; "
+        f"the limit is {MAX_COORDINATES}\n"
+    )
 
 
 def test_huge_power_without_digit_limit_exits_2():

@@ -37,7 +37,7 @@ EXPRESSIONS = {
     "invalid.ring": "1",
 }
 REFUSED = "2^-1"
-SABOTAGED_RINGS = ("rp4.ring", "s4.ring", "cp2.ring")
+SABOTAGED_RINGS = ("rp4.ring", "s4.ring", "cp2.ring", "z2-z2.ring")
 
 
 # engines wrong on an H^4 term, which tests/test_oracle.py sabotages with too

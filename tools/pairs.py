@@ -5,11 +5,11 @@
         [--workload NAME ...] [--pairs 10] [--seconds 20] [--first-seed 501]
         [--claim WORKLOAD:METRIC] [--note TEXT ...] --trajectory N [--out PATH]
 
-Each side runs from its own ``git worktree`` of this repository, checked out
-detached at its revision and byte-compiled before the first run, and uses
-that checkout's own bench/ and src/.  Pair i runs seed first_seed + i on
-both sides; the parent runs first in even pairs and the change in odd ones.
-The worktrees are removed at the end.
+Each side runs from its own copy of the committed files of its revision,
+unpacked from ``git archive`` into a temporary directory and byte-compiled
+before the first run, and uses that copy's own bench/ and src/.  Pair i runs
+seed first_seed + i on both sides; the parent runs first in even pairs and
+the change in odd ones.  The copies are removed at the end.
 
 The output, BENCH_<N>.json at the repository root unless --out names
 another path, is in the shape of BENCH_13.json: per workload the seeds, which
@@ -39,8 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 COMMAND = "python3 bench/run.py --workload WORKLOAD --seed SEED --seconds {seconds}"
 METHOD = (
-    "Alternating pairs of the parent and the change, each run in its own git "
-    "worktree; first_side says which side ran first in each pair. Each metric "
+    "Alternating pairs of the parent and the change, each run in its own copy "
+    "of its commit's files (git archive); first_side says which side ran first "
+    "in each pair. Each metric "
     "is the value the run printed; median and quartiles are over runs "
     "(statistics.quantiles, n=4, method='inclusive'). change_wins counts pairs "
     "in which the change is better."
@@ -157,28 +158,26 @@ def main(argv=None) -> int:
     commits = {s: git("rev-parse", getattr(args, s)) for s in SIDES}
     with tempfile.TemporaryDirectory(prefix="kfour-pairs-") as tmp:
         checkouts = {s: Path(tmp) / s for s in SIDES}
-        try:
-            for side, path in checkouts.items():
-                git("worktree", "add", "--detach", str(path), commits[side])
-                subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
-                               cwd=path, check=True, capture_output=True)
-            results = {}
-            for workload in args.workload:
-                runs = []
-                for i in range(args.pairs):
-                    seed = args.first_seed + i
-                    order = SIDES if i % 2 == 0 else SIDES[::-1]
-                    run = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        run[side] = bench(checkouts[side], workload, seed, args.seconds)
-                        print(f"pairs: {workload} seed {seed} {side} done", file=sys.stderr)
-                    runs.append(run)
-                results[workload] = summarize(runs, spec["end_to_end"])
-            digests = {s: run[s][0]["source_digest"] for s in SIDES}  # as run.py printed
-        finally:
-            for path in checkouts.values():
-                if path.exists():
-                    git("worktree", "remove", "--force", str(path))
+        for side, path in checkouts.items():
+            path.mkdir()
+            archive = subprocess.run(["git", "archive", commits[side]], cwd=ROOT,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(path)], input=archive, check=True)
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                           cwd=path, check=True, capture_output=True)
+        results = {}
+        for workload in args.workload:
+            runs = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                run = {"seed": seed, "first": order[0]}
+                for side in order:
+                    run[side] = bench(checkouts[side], workload, seed, args.seconds)
+                    print(f"pairs: {workload} seed {seed} {side} done", file=sys.stderr)
+                runs.append(run)
+            results[workload] = summarize(runs, spec["end_to_end"])
+        digests = {s: run[s][0]["source_digest"] for s in SIDES}  # as run.py printed
     claim = None
     if args.claim:
         workload, metric = args.claim.split(":")
