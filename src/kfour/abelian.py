@@ -4,8 +4,11 @@ A group is presented as Z^r (+) Z/n1 (+) ... (+) Z/nk, free coordinates
 first.  Elements are plain tuples of ints in canonical form: every torsion
 coordinate is reduced into [0, order), free coordinates are unbounded.
 Python's arbitrary-precision integers make all of this exact; there is no
-overflow to guard against.  Only this module knows coordinate orders, and
-:func:`_reduce`, shared with the K-class engine, is the one reduction by them.
+overflow to guard against.  A group's ``canonical``, ``add``, ``negate`` and
+``scale`` each compile, on their first call for that group, a straight-line
+kernel: every coordinate a local, each torsion coordinate reduced once, by
+its order as a literal.  The cohomology kernels share its source helpers.
+Building and validating a ring compile none: they use :func:`_reduce`.
 
 The integer-matrix side has one exact elimination, :func:`_diagonalize`:
 sparse row echelon forms of the rows and of the columns in turn, by gcd
@@ -47,6 +50,53 @@ class InfiniteGroupError(ValueError):
 def _reduce(coords: Iterable[int], moduli: tuple[int, ...]) -> Element:
     """Canonical form of raw coordinates: each torsion one taken mod its order."""
     return tuple([c % m if m else c for c, m in zip(coords, moduli)])
+
+
+def _unpack(name: str, count: int, source: str) -> str:
+    """Source that binds the coordinates of ``source`` to name0, name1, ...
+
+    It raises ValueError when ``source`` has another length.
+    """
+    return f"{''.join(f'{name}{k}, ' for k in range(count)) or '()'} = {source}"
+
+
+def _factor(expr: str) -> str:
+    return expr if expr.isidentifier() else f"({expr})"
+
+
+def _reduced(exprs: Iterable[str], moduli: tuple[int, ...]) -> str:
+    """A tuple display of ``exprs``, each reduced by its modulus when it has one."""
+    return "(" + "".join(f"{_factor(e)} % {m}, " if m else f"{e}, "
+                         for e, m in zip(exprs, moduli)) + ")"
+
+
+def _define(name: str, args: str, body: list[str], namespace: dict):
+    """The function ``def name(args)`` with ``body``, compiled in ``namespace``."""
+    exec(f"def {name}({args}):\n" + "".join(f" {line}\n" for line in body), namespace)
+    # taken out, so that the namespace and the function do not form a cycle
+    return namespace.pop(name)
+
+
+def _compile(group: FgGroup, op: str):
+    """The group's straight-line kernel for ``op``, compiled from source.
+
+    ``op`` is "canonical" (a), "add" (a, b), "negate" (a) or "scale" (n, a),
+    and the kernel returns the canonical result of the method of that name.
+    It unpacks each element argument, so one of another length raises
+    ValueError.  It keeps no reference to the group, so a group that holds
+    its kernels is freed without the cycle collector.
+    """
+    args, exprs = {"canonical": ("a", "a{k}"), "add": ("a, b", "a{k} + b{k}"),
+                   "negate": ("a", "-a{k}"), "scale": ("n, a", "n * a{k}")}[op]
+    moduli = group._moduli
+    result = _reduced((exprs.format(k=k) for k in range(len(moduli))), moduli)
+    unpack = [_unpack(name, len(moduli), name) for name in ("ab" if op == "add" else "a")]
+    return _define(op, args, [*unpack, f"return {result}"], {})
+
+
+def _without_kernels(value) -> dict:
+    """Pickled state: pickle cannot name a kernel, so an unpickled value compiles its own."""
+    return {k: v for k, v in value.__dict__.items() if not k.endswith("_kernel")}
 
 
 def _refuse(self, name, *value):
@@ -137,32 +187,57 @@ class FgGroup:
         """Each coordinate's order, 0 for a free one; built on first use."""
         return (0,) * self.free_rank + self.torsion_orders
 
+    def _length_error(self, *args: Element) -> ValueError:
+        got = " and ".join(str(len(arg)) for arg in args)
+        return ValueError(f"expected {self.ngens} coordinates for {self}, got {got}")
+
     def _coords(self, coeffs: Iterable[int]) -> Element:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.ngens:
-            raise ValueError(
-                f"expected {self.ngens} coordinates for {self}, got {len(coeffs)}"
-            )
+            raise self._length_error(coeffs)
         return coeffs
+
+    # Each operation reads its arguments once, into tuples, for its kernel;
+    # the kernel's only ValueError is that of unpacking a wrong length.
 
     def canonical(self, coeffs: Iterable[int]) -> Element:
         """Canonical form: torsion coordinates reduced into [0, order)."""
-        return _reduce(self._coords(coeffs), self._moduli)
+        coeffs = coeffs if coeffs.__class__ is tuple else tuple(coeffs)
+        try:
+            return self._canonical_kernel(coeffs)
+        except ValueError:
+            raise self._length_error(coeffs) from None
 
     def add(self, a: Iterable[int], b: Iterable[int]) -> Element:
-        a, b = tuple(a), tuple(b)
-        if len(a) != self.ngens or len(b) != self.ngens:
-            raise ValueError(
-                f"expected {self.ngens} coordinates for {self}, "
-                f"got {len(a)} and {len(b)}"
-            )
-        return _reduce([x + y for x, y in zip(a, b)], self._moduli)
+        a = a if a.__class__ is tuple else tuple(a)
+        b = b if b.__class__ is tuple else tuple(b)
+        try:
+            return self._add_kernel(a, b)
+        except ValueError:
+            raise self._length_error(a, b) from None
 
     def negate(self, a: Iterable[int]) -> Element:
-        return _reduce([-x for x in self._coords(a)], self._moduli)
+        a = a if a.__class__ is tuple else tuple(a)
+        try:
+            return self._negate_kernel(a)
+        except ValueError:
+            raise self._length_error(a) from None
 
     def scale(self, n: int, a: Iterable[int]) -> Element:
-        return _reduce([n * x for x in self._coords(a)], self._moduli)
+        a = a if a.__class__ is tuple else tuple(a)
+        try:
+            return self._scale_kernel(n, a)
+        except ValueError:
+            raise self._length_error(a) from None
+
+    # The straight-line kernels of :func:`_compile`: each is compiled on its
+    # first use and kept in the group's __dict__, like ``_moduli``.
+    _canonical_kernel, _add_kernel, _negate_kernel, _scale_kernel = (
+        cached_property(lambda self, op=op: _compile(self, op))
+        for op in ("canonical", "add", "negate", "scale")
+    )
+
+    __getstate__ = _without_kernels
 
     def element_order(self, a: Iterable[int]) -> int | None:
         """Least n >= 1 with n*a = 0, or None for infinite order."""

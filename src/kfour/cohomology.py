@@ -6,9 +6,11 @@ positive-degree classes lands above the dimension of the space.  The pairing
 is stored as its nonzero values on pairs of generators only, reduced once
 when the ring is built, and extended bilinearly on demand.  On the first
 use of an operation, the cup or one of the K-class engine's, a ring compiles
-it into a straight-line kernel: every coordinate a local, every cup term one
-statement with its coefficients as literals, and every result coordinate
-reduced once, by its modulus as a literal.  Building, validating and
+it into a straight-line kernel, written as the group kernels are: every
+coordinate a local, every cup term one statement with its coefficients as
+literals, and every result coordinate reduced once, by its modulus as a
+literal.  The cup kernel reduces its arguments too, so a cup calls no
+``canonical``.  Building, validating and
 printing a ring cost what its entries cost, whatever ranks it declares; a
 class or a kernel is built only over a ring with at most MAX_COORDINATES
 coordinates in H^2 and H^4 together.
@@ -24,7 +26,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .abelian import Element, FgGroup, _frozen, _reduce
+from .abelian import (Element, FgGroup, _define, _factor, _frozen, _reduce, _reduced,
+                      _unpack, _without_kernels)
 
 __all__ = [
     "CohomologyRing",
@@ -151,9 +154,10 @@ def _require_coordinates(ring: CohomologyRing) -> None:
 def _compile(ring: CohomologyRing, op: str):
     """The ring's straight-line kernel for ``op``, compiled from source.
 
-    ``op`` is "cup", taking two canonical H^2 elements, or one of the K-class
-    engine's "add" (ring, a, b), "mul" (ring, a, b) and "affine" (ring, a,
-    rank, m, w), which gives the class (rank, m c1, m c2 + w c1^2).  Every
+    ``op`` is "cup", taking two tuples of H^2 coordinates, which it reduces,
+    or one of the K-class engine's "add" (ring, a, b), "mul" (ring, a, b) and
+    "affine" (ring, a, rank, m, w), which gives the class (rank, m c1,
+    m c2 + w c1^2).  Every
     coordinate is a local, every ordered cup term one statement with its
     coefficients as literals, and every result coordinate is reduced once, by
     its modulus as a literal.  The kernel keeps no reference to the ring, so
@@ -166,23 +170,15 @@ def _compile(ring: CohomologyRing, op: str):
         for (i, j), entry in ring.cup_form.pairs
     ]
 
-    def unpack(name: str, count: int, source: str) -> list[str]:
-        return [f"{''.join(f'{name}{k}, ' for k in range(count))}= {source}"] if count else []
-
-    def factor(expr: str) -> str:
-        return expr if expr.isidentifier() else f"({expr})"
-
-    def reduced(exprs: Iterable[str], moduli: tuple[int, ...]) -> str:
-        return "(" + "".join(f"{factor(e)} % {m}, " if m else f"{e}, "
-                             for e, m in zip(exprs, moduli)) + ")"
-
     # a, b: the H^2 operands; f, g: the H^4 ones; r: the H^4 sums; u and t
     # weigh a generator's coordinates once, for every term that reads them
     firsts, seconds = sorted({i for i, _, _ in terms}), sorted({j for _, j, _ in terms})
-    a, b = unpack("a", len(m2), "a.c1"), unpack("b", len(m2), "b.c1")
-    f, g = unpack("f", len(m4), "a.c2"), unpack("g", len(m4), "b.c2")
+    a, b = [_unpack("a", len(m2), "a.c1")], [_unpack("b", len(m2), "b.c1")]
+    f, g = [_unpack("f", len(m4), "a.c2")], [_unpack("g", len(m4), "b.c2")]
     if op == "cup":
-        head = [*unpack("a", len(m2), "x"), *unpack("b", len(m2), "y")]
+        # the arguments are reduced here, each torsion coordinate by its order
+        head = [_unpack("a", len(m2), "a"), _unpack("b", len(m2), "b")]
+        head += [f"{v}{k} %= {m}" for v in "ab" for k, m in enumerate(m2) if m]
         weight, start, c1 = "a{i} * b{j}", "0", None
     elif op == "add":
         head = a + b + f + g
@@ -205,11 +201,11 @@ def _compile(ring: CohomologyRing, op: str):
         if len(coeffs) > 1:  # weighed once, added to each coordinate
             body.append(f"z = {w}")
             w = "z"
-        body += [f"r{k} += {w}" if v == 1 else f"r{k} += {v} * {factor(w)}" for k, v in coeffs]
-    c2 = reduced((f"r{k}" for k in range(len(m4))), m4)
+        body += [f"r{k} += {w}" if v == 1 else f"r{k} += {v} * {_factor(w)}" for k, v in coeffs]
+    c2 = _reduced((f"r{k}" for k in range(len(m4))), m4)
     namespace: dict = {}
     if c1 is None:
-        args, tail = "x, y", [f"return {c2}"]
+        args, tail = "a, b", [f"return {c2}"]
     else:
         from .kclasses import KClass  # a late import: kclasses builds on this module
 
@@ -220,14 +216,11 @@ def _compile(ring: CohomologyRing, op: str):
             "fields = value.__dict__",
             "fields['ring'] = ring",
             f"fields['rank'] = {rank}",
-            f"fields['c1'] = {reduced((c1.format(k=k) for k in range(len(m2))), m2)}",
+            f"fields['c1'] = {_reduced((c1.format(k=k) for k in range(len(m2))), m2)}",
             f"fields['c2'] = {c2}",
             "return value",
         ]
-    exec(f"def {op}({args}):\n" + "".join(f" {line}\n" for line in head + body + tail),
-         namespace)
-    # taken out, so that the namespace and the kernel do not form a cycle
-    return namespace.pop(op)
+    return _define(op, args, head + body + tail, namespace)
 
 
 @_frozen
@@ -257,10 +250,23 @@ class CohomologyRing:
         return self.h2.is_finite and self.h4.is_finite
 
     def cup(self, a: Iterable[int], b: Iterable[int]) -> Element:
-        """Bilinear extension of the generator table: sum of a_i b_j (e_i e_j)."""
-        x = self.h2.canonical(a)
-        # a square reads its argument once, which may be an iterator
-        return self._cup_kernel(x, x if b is a else self.h2.canonical(b))
+        """Bilinear extension of the generator table: sum of a_i b_j (e_i e_j).
+
+        Each argument is read as ``FgGroup.canonical`` reads it, a square's
+        once, for the kernel, which reduces it.
+        """
+        square = b is a
+        if a.__class__ is not tuple:
+            a = tuple(a)
+        if square:
+            b = a
+        elif b.__class__ is not tuple:
+            b = tuple(b)
+        try:
+            return self._cup_kernel(a, b)
+        except ValueError:
+            h2 = self.h2
+            raise h2._length_error(a if len(a) != h2.ngens else b) from None
 
     def cup_square(self, a: Iterable[int]) -> Element:
         return self.cup(a, a)
@@ -281,26 +287,12 @@ class CohomologyRing:
 
     # The straight-line kernels of :func:`_compile`: each is compiled on its
     # first use and kept in the ring's __dict__, like the validation.
+    _cup_kernel, _add_kernel, _mul_kernel, _affine_kernel = (
+        cached_property(lambda self, op=op: _compile(self, op))
+        for op in ("cup", "add", "mul", "affine")
+    )
 
-    @cached_property
-    def _cup_kernel(self):
-        return _compile(self, "cup")
-
-    @cached_property
-    def _add_kernel(self):
-        return _compile(self, "add")
-
-    @cached_property
-    def _mul_kernel(self):
-        return _compile(self, "mul")
-
-    @cached_property
-    def _affine_kernel(self):
-        return _compile(self, "affine")
-
-    def __getstate__(self) -> dict:
-        # pickle cannot name compiled kernels; an unpickled ring compiles its own
-        return {k: v for k, v in self.__dict__.items() if not k.endswith("_kernel")}
+    __getstate__ = _without_kernels
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"
@@ -323,7 +315,8 @@ def _validate(ring: CohomologyRing) -> ValidationReport:
     free, orders = ring.h2.free_rank, ring.h2.torsion_orders
     for (i, j), e in pairs:
         n = orders[i - free] if i >= free else 0
-        if n and any(ring.h4.scale(n, e)):
+        # n e in H^4, reduced here: every parse validates, and compiles no kernel
+        if n and any(n * c % m if m else n * c for c, m in zip(e, ring.h4._moduli)):
             issues.append(
                 ValidationIssue(
                     "torsion",

@@ -6,6 +6,8 @@ Three independent checks live here:
   relations of the line/rank-2 generator presentation, written once in one
   table, through the coordinate engine, for every choice of generators
   (exhaustively on finite cohomology, over a coordinate box otherwise).
+  The table's laws take one instance each; the check runs them by columns,
+  every variable but the last fixed and the last one over its whole domain.
 
 * :func:`verify_ring_axioms` grinds through commutativity, associativity,
   distributivity, unit and inverse laws on a whole block of classes, or on
@@ -25,7 +27,8 @@ Three independent checks live here:
   with formal sums instead of engine classes.  Each relation instance is one
   sparse row for the exact elimination of :mod:`kfour.abelian` (a dense
   Smith normal form of the whole matrix is the reference it is tested
-  against).
+  against), after the row that kills the unit, which clears each later
+  row's unit entry in one step.
   :func:`oracle_compare` checks this against the twisted-extension
   presentation and confirms that the multiplicative relations are consistent
   with the quotient.
@@ -177,7 +180,8 @@ def _check(name: str, description: str, names: Iterable[str], cases: Iterable[tu
     """Run ``law`` on every case, tallying the instances where its sides differ.
 
     A case is (leading operands, column): ``law(*lead, column)`` returns the
-    left and right sides for every last operand in the column, as two lists.
+    left and right sides for every last operand in the column, as two
+    sequences.
     Only a case whose lists differ is walked instance by instance; the first
     ``MAX_COUNTEREXAMPLES`` failures are kept, each operand and side passed
     through ``show`` for display.
@@ -211,9 +215,7 @@ def verify_relations(ring: CohomologyRing, bound: int = DEFAULT_BOUND) -> Verifi
         raise ValueError(f"bound must be >= 1, got {bound}")
     domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
     # The engine functions are read from the module here, so a replaced
-    # ``k_add``/``k_mul`` reaches every law.  Each relation instance is a
-    # column of one placeholder operand, which lies past the end of ``names``
-    # and so never shows in a counterexample.
+    # ``k_add``/``k_mul`` reaches every law.
     table = _relations(
         ring,
         _Memo(functools.partial(line_class, ring)),
@@ -222,13 +224,17 @@ def verify_relations(ring: CohomologyRing, bound: int = DEFAULT_BOUND) -> Verifi
         functools.partial(k_add, ring),
         functools.partial(k_mul, ring),
     )
-    checks = [
-        _check(name, description, names,
-               ((case, (None,))
-                for case in itertools.product(*(domains[var[0]] for var in names))),
-               lambda *operands, law=law: tuple([side] for side in law(*operands[:-1])))
-        for name, description, names, law in table
-    ]
+    checks = []
+    for name, description, names, law in table:
+        # a case is every variable but the last, and the last one's domain;
+        # relation 1 is one column of a placeholder operand, which lies past
+        # the end of ``names`` and so never shows
+        *leads, column = [domains[var[0]] for var in names] or [(None,)]
+        each = law if names else lambda _, law=law: law()
+        checks.append(_check(
+            name, description, names, ((lead, column) for lead in itertools.product(*leads)),
+            lambda *case, each=each: zip(*map(functools.partial(each, *case[:-1]), case[-1])),
+        ))
     return VerificationReport(tuple(checks))
 
 
@@ -404,7 +410,10 @@ def oracle_reduced_group(ring: CohomologyRing) -> GroupStructureReport:
     L = {x: ((1 + i, 1),) for i, x in enumerate(domains["x"])}
     V = {y: ((1 + len(L) + i, 1),) for i, y in enumerate(domains["y"])}
     n = _Memo(lambda k: ((0, k),))
-    rows = []
+    # reduced part: kill the unit (the rank map splits off that copy of Z);
+    # as the first row it is the pivot that clears every other row's unit
+    # entry in one step
+    rows = [{0: 1}]
     for name, _, names, law in _relations(ring, L, V, n, operator.add, None):
         if name not in _ADDITIVE:
             continue
@@ -415,8 +424,6 @@ def oracle_reduced_group(ring: CohomologyRing) -> GroupStructureReport:
                 for column, coeff in lhs + tuple((j, -c) for j, c in rhs):
                     row[column] = row.get(column, 0) + coeff
                 rows.append({j: e for j, e in row.items() if e})
-    # reduced part: kill the unit (the rank map splits off that copy of Z)
-    rows.append({0: 1})
     return _solve_relations(1 + len(L) + len(V), rows)
 
 

@@ -1,6 +1,9 @@
+import gc
 import itertools
 import math
+import pickle
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -675,3 +678,127 @@ class TestAgainstReferenceArithmetic:
         assert outcome(first, g.bounded_elements, bound) == outcome(
             first, reference_bounded_elements, g, bound
         )
+
+
+# The element arithmetic as it stood before the compiled kernels: one generic
+# reduction by the table of coordinate orders, after a length check.  Kept as
+# the reference the kernels must match, errors included.
+def loop_reduce(coords, moduli):
+    return tuple([c % m if m else c for c, m in zip(coords, moduli)])
+
+
+def loop_coords(g, coeffs):
+    coeffs = tuple(coeffs)
+    if len(coeffs) != g.ngens:
+        raise ValueError(f"expected {g.ngens} coordinates for {g}, got {len(coeffs)}")
+    return coeffs
+
+
+def loop_moduli(g):
+    return (0,) * g.free_rank + g.torsion_orders
+
+
+def loop_canonical(g, coeffs):
+    return loop_reduce(loop_coords(g, coeffs), loop_moduli(g))
+
+
+def loop_add(g, a, b):
+    a, b = tuple(a), tuple(b)
+    if len(a) != g.ngens or len(b) != g.ngens:
+        raise ValueError(
+            f"expected {g.ngens} coordinates for {g}, got {len(a)} and {len(b)}"
+        )
+    return loop_reduce([x + y for x, y in zip(a, b)], loop_moduli(g))
+
+
+def loop_negate(g, a):
+    return loop_reduce([-x for x in loop_coords(g, a)], loop_moduli(g))
+
+
+def loop_scale(g, n, a):
+    return loop_reduce([n * x for x in loop_coords(g, a)], loop_moduli(g))
+
+
+# mostly six-digit coordinates, and now and then one of a thousand digits
+HUGE = (10**999 + 7, -(10**999) - 3, 7 * 10**998 + 1)
+KERNEL_INTS = st.integers(-(10**6), 10**6) | st.sampled_from(HUGE)
+KERNELS = ("_canonical_kernel", "_add_kernel", "_negate_kernel", "_scale_kernel")
+
+
+@st.composite
+def kernel_cases(draw):
+    """A group and two coordinate lists, usually of its length, sometimes not."""
+    orders = draw(st.lists(st.integers(2, 12), max_size=3))
+    g = FgGroup(draw(st.integers(0, 3)), tuple(orders))
+
+    def coords():
+        length = draw(st.one_of(st.just(g.ngens), st.integers(0, g.ngens + 2)))
+        return draw(st.lists(KERNEL_INTS, min_size=length, max_size=length))
+
+    return g, coords(), coords()
+
+
+def use_every_kernel(g):
+    a = tuple(range(g.ngens))
+    return g.canonical(a), g.add(a, a), g.negate(a), g.scale(3, a)
+
+
+class TestGroupKernels:
+    """The compiled group arithmetic against the generic loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases(), KERNEL_INTS, st.sampled_from([tuple, list, iter]))
+    @example((FgGroup(), [], []), 5, iter)
+    @example((FgGroup(), [HUGE[0]], []), 5, iter)
+    def test_kernels_match_the_loop(self, case, n, wrap):
+        g, a, b = case
+        # an iterator is consumed by a call, so each call gets a fresh one
+        cases = [
+            (g.canonical, loop_canonical, (a,)),
+            (g.add, loop_add, (a, b)),
+            (g.negate, loop_negate, (a,)),
+        ]
+        for method, loop, args in cases:
+            assert outcome(method, *map(wrap, args)) == outcome(loop, g, *map(wrap, args))
+        assert outcome(g.scale, n, wrap(a)) == outcome(loop_scale, g, n, wrap(a))
+
+    def test_one_compile_per_group_and_op(self, monkeypatch):
+        compiled = Counter()
+        real = abelian_module._compile
+
+        def counted(group, op):
+            compiled[group, op] += 1
+            return real(group, op)
+
+        monkeypatch.setattr(abelian_module, "_compile", counted)
+        g = FgGroup(1, (2, 6))
+        for _ in range(3):
+            use_every_kernel(g)
+        assert compiled == {(g, op): 1 for op in ("canonical", "add", "negate", "scale")}
+        # an equal group is another object, with kernels of its own
+        use_every_kernel(FgGroup(1, (2, 6)))
+        assert set(compiled.values()) == {2}
+
+    def test_group_and_kernels_freed_without_the_cycle_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            g = FgGroup(2, (4, 6))
+            results = use_every_kernel(g)
+            refs = [weakref.ref(g)] + [weakref.ref(vars(g)[name]) for name in KERNELS]
+            del g, results
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_groups_and_rings_with_kernels_pickle(self):
+        g = FgGroup(1, (4,))
+        results = use_every_kernel(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and not set(KERNELS) & set(vars(copy))
+        assert use_every_kernel(copy) == results
+        ring = make_ring(FgGroup(0, (2,)), FgGroup(0, (2,)), {(0, 0): (1,)})
+        assert oracle_module.verify_relations(ring).ok
+        assert set(KERNELS) <= set(vars(ring.h2)) and set(KERNELS) <= set(vars(ring.h4))
+        copy = pickle.loads(pickle.dumps(ring))
+        assert copy == ring and oracle_module.verify_relations(copy).ok

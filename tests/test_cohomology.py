@@ -34,6 +34,11 @@ def s4():
     return CohomologyRing(FgGroup(), FgGroup(1), CupForm.from_pairs(FgGroup(), FgGroup(1)))
 
 
+def z4_z4():
+    h2, h4 = FgGroup(0, (4, 4)), FgGroup(0, (4,))
+    return CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4, {(0, 1): (1,)}))
+
+
 class TestValidation:
     def test_rp4_valid(self):
         assert validate_ring(rp4()).ok
@@ -168,6 +173,39 @@ class TestCup:
         assert validate_ring(ring).ok
         assert not ring.is_finite
         assert ring.cup((), ()) == (0,)
+
+    @pytest.mark.parametrize("ring", [rp4, cp2, s4, z4_z4])
+    def test_arguments_read_as_canonical_reads_them(self, ring):
+        ring = ring()
+        h2 = ring.h2
+        x = tuple(range(1, h2.ngens + 1))
+        long = x + (1,)
+        # a wrong length gives canonical's message, for the first bad argument
+        for a, b in [(long, x), (x, long), (long, long + (1,)), (long, long)]:
+            bad = a if len(a) != h2.ngens else b
+            with pytest.raises(ValueError) as expected:
+                h2.canonical(bad)
+            for call, args in [(ring.cup, (a, b)), (ring.cup, (iter(a), iter(b))),
+                               (ring.cup_square, (iter(bad),))]:
+                with pytest.raises(ValueError) as got:
+                    call(*args)
+                assert str(got.value) == str(expected.value)
+        # an iterator is read once, also as both arguments of a square
+        assert ring.cup(iter(x), iter(x)) == ring.cup(x, x)
+        assert ring.cup_square(iter(x)) == ring.cup_square(list(x)) == ring.cup(x, x)
+        it = iter(x)
+        assert ring.cup(it, it) == ring.cup(x, x)
+
+    def test_wrong_length_message(self):
+        with pytest.raises(ValueError, match="^expected 2 coordinates for Z/4 ⊕ Z/4, got 3$"):
+            z4_z4().cup((1, 0), iter((1, 2, 3)))
+
+    def test_arguments_reduced_on_an_invalid_ring(self):
+        # 2 cup(e, e) is not 0 here, so only reduced arguments give the table
+        h2, h4 = FgGroup(0, (2,)), FgGroup(1)
+        ring = CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4, {(0, 0): (1,)}))
+        assert not validate_ring(ring).ok
+        assert ring.cup((3,), (-1,)) == ring.cup_square((5,)) == (1,)
 
 
 class TestDirectForms:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -9,7 +10,7 @@ from kfour import abelian as abelian_module
 from kfour.abelian import FgGroup, GroupStructureReport, InfiniteGroupError
 from kfour.cohomology import CohomologyRing, CupForm
 from kfour import oracle as oracle_module
-from kfour.kclasses import KClass, integer_class
+from kfour.kclasses import KClass, integer_class, line_class, rank2_class
 from kfour.oracle import (
     Counterexample,
     RelationCheck,
@@ -345,6 +346,80 @@ class TestOneRelationTable:
         assert not result.structures_match
         assert result.engine_structure == GroupStructureReport(0, (4,))
         assert result.oracle_structure == GroupStructureReport(0, (2,))
+
+
+def reference_relations(ring, bound=oracle_module.DEFAULT_BOUND):
+    """The relation check one instance at a time, as the differential oracle.
+
+    Every choice of all of a relation's variables is one instance, whose law
+    is called on it alone, and the tally is kept here.  Operands come from the
+    same memos, and the engine functions are read from the oracle module
+    here, so a sabotaged engine reaches this path too.
+    """
+    domains = {"x": oracle_module._domain(ring.h2, bound),
+               "y": oracle_module._domain(ring.h4, bound)}
+    table = oracle_module._relations(
+        ring,
+        oracle_module._Memo(functools.partial(line_class, ring)),
+        oracle_module._Memo(functools.partial(rank2_class, ring)),
+        oracle_module._Memo(functools.partial(integer_class, ring)),
+        functools.partial(oracle_module.k_add, ring),
+        functools.partial(oracle_module.k_mul, ring),
+    )
+    checks = []
+    for name, description, names, law in table:
+        instances = failures = 0
+        examples = []
+        for case in itertools.product(*(domains[var[0]] for var in names)):
+            instances += 1
+            left, right = law(*case)
+            if left != right:
+                failures += 1
+                if len(examples) < oracle_module.MAX_COUNTEREXAMPLES:
+                    examples.append(Counterexample(tuple(zip(names, case)), left, right))
+        checks.append(RelationCheck(name, description, instances, failures,
+                                    tuple(examples)))
+    return VerificationReport(tuple(checks))
+
+
+def s4():
+    return make_ring(FgGroup(), FgGroup(1))
+
+
+def mixed_z_z2():
+    h = FgGroup(1, (2,))
+    return make_ring(h, h, {(0, 0): (1, 0), (0, 1): (0, 1), (1, 1): (0, 1)})
+
+
+class TestRelationsMatchReference:
+    """The relations run by columns against the per-instance reference above."""
+
+    RINGS = [(rp4, 2), (s4, 2), (twisted_z4, 2), (mixed_z_z2, 1), (cp2, 1), (cp2, 2)]
+
+    @pytest.mark.parametrize("ring, bound", RINGS)
+    def test_real_engine(self, ring, bound):
+        report = verify_relations(ring(), bound=bound)
+        assert report.ok
+        assert report == reference_relations(ring(), bound)
+
+    @pytest.mark.parametrize("ring, bound", RINGS)
+    @pytest.mark.parametrize("op, sabotage", [
+        ("k_add", sabotaged_add), ("k_mul", sabotaged_mul), ("k_neg", sabotaged_neg),
+    ])
+    def test_sabotaged_engine(self, monkeypatch, ring, bound, op, sabotage):
+        # the same failures, counterexamples and their order, each displayed
+        # as the same text
+        monkeypatch.setattr(oracle_module, op, sabotage(getattr(oracle_module, op)))
+        ring = ring()
+        report = verify_relations(ring, bound=bound)
+        reference = reference_relations(ring, bound)
+        # the relations never negate a class; the other sabotages show where
+        # a square is nonzero
+        assert report.ok == (op == "k_neg" or not ring.cup_form.pairs)
+        assert report == reference
+        assert [list(map(str, c.counterexamples)) for c in report.checks] == [
+            list(map(str, c.counterexamples)) for c in reference.checks
+        ]
 
 
 class TestAxiomsMatchReference:
