@@ -4,11 +4,12 @@ A group is presented as Z^r (+) Z/n1 (+) ... (+) Z/nk, free coordinates
 first.  Elements are plain tuples of ints in canonical form: every torsion
 coordinate is reduced into [0, order), free coordinates are unbounded.
 Python's arbitrary-precision integers make all of this exact; there is no
-overflow to guard against.  A group's ``canonical``, ``add``, ``negate`` and
-``scale`` each compile, on their first call for that group, a straight-line
-kernel: every coordinate a local, each torsion coordinate reduced once, by
-its order as a literal.  The cohomology kernels share its source helpers.
-Building and validating a ring compile none: they use :func:`_reduce`.
+overflow to guard against.  A group compiles two straight-line kernels, each
+on its first use for that group: ``add`` (a, b) and ``scale`` (n, a), which
+``canonical`` (n = 1) and ``negate`` (n = -1) run too.  Every coordinate is a
+local, each torsion coordinate reduced once, by its order as a literal.  The
+cohomology kernels share its source helpers.  Parsing, building and
+validating a ring compile none: they use :func:`_reduce`.
 
 The integer-matrix side has one exact elimination, :func:`_diagonalize`:
 sparse row echelon forms of the rows and of the columns in turn, by gcd
@@ -80,14 +81,13 @@ def _define(name: str, args: str, body: list[str], namespace: dict):
 def _compile(group: FgGroup, op: str):
     """The group's straight-line kernel for ``op``, compiled from source.
 
-    ``op`` is "canonical" (a), "add" (a, b), "negate" (a) or "scale" (n, a),
-    and the kernel returns the canonical result of the method of that name.
-    It unpacks each element argument, so one of another length raises
-    ValueError.  It keeps no reference to the group, so a group that holds
-    its kernels is freed without the cycle collector.
+    ``op`` is "add" (a, b) or "scale" (n, a), and the kernel returns the
+    canonical a + b or n a; ``canonical`` and ``negate`` are n a for n = 1
+    and n = -1.  It unpacks each element argument, so one of another length
+    raises ValueError.  It keeps no reference to the group, so a group that
+    holds its kernels is freed without the cycle collector.
     """
-    args, exprs = {"canonical": ("a", "a{k}"), "add": ("a, b", "a{k} + b{k}"),
-                   "negate": ("a", "-a{k}"), "scale": ("n, a", "n * a{k}")}[op]
+    args, exprs = {"add": ("a, b", "a{k} + b{k}"), "scale": ("n, a", "n * a{k}")}[op]
     moduli = group._moduli
     result = _reduced((exprs.format(k=k) for k in range(len(moduli))), moduli)
     unpack = [_unpack(name, len(moduli), name) for name in ("ab" if op == "add" else "a")]
@@ -204,7 +204,7 @@ class FgGroup:
         """Canonical form: torsion coordinates reduced into [0, order)."""
         coeffs = coeffs if coeffs.__class__ is tuple else tuple(coeffs)
         try:
-            return self._canonical_kernel(coeffs)
+            return self._scale_kernel(1, coeffs)
         except ValueError:
             raise self._length_error(coeffs) from None
 
@@ -217,11 +217,7 @@ class FgGroup:
             raise self._length_error(a, b) from None
 
     def negate(self, a: Iterable[int]) -> Element:
-        a = a if a.__class__ is tuple else tuple(a)
-        try:
-            return self._negate_kernel(a)
-        except ValueError:
-            raise self._length_error(a) from None
+        return self.scale(-1, a)
 
     def scale(self, n: int, a: Iterable[int]) -> Element:
         a = a if a.__class__ is tuple else tuple(a)
@@ -232,9 +228,8 @@ class FgGroup:
 
     # The straight-line kernels of :func:`_compile`: each is compiled on its
     # first use and kept in the group's __dict__, like ``_moduli``.
-    _canonical_kernel, _add_kernel, _negate_kernel, _scale_kernel = (
-        cached_property(lambda self, op=op: _compile(self, op))
-        for op in ("canonical", "add", "negate", "scale")
+    _add_kernel, _scale_kernel = (
+        cached_property(lambda self, op=op: _compile(self, op)) for op in ("add", "scale")
     )
 
     __getstate__ = _without_kernels

@@ -86,7 +86,7 @@ class CupForm:
             value = h4._coords(coeffs)
             key = (min(i, j), max(i, j))
             known = seen.setdefault(key, value)
-            if known != value and h4.canonical(known) != h4.canonical(value):
+            if known != value and _reduce(known, h4._moduli) != _reduce(value, h4._moduli):
                 raise ValueError(f"conflicting cup entries for generators {key}")
         nonzero = [((i, j), v) for (i, j), v in seen.items() if any(v)]
         nonzero += [((j, i), v) for (i, j), v in nonzero if i != j]

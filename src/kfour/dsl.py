@@ -43,7 +43,7 @@ import math
 import re
 import sys
 
-from .abelian import FgGroup
+from .abelian import FgGroup, _reduce
 from .cohomology import CohomologyRing, CupForm, validate_ring
 from .kclasses import (
     KClass,
@@ -218,7 +218,7 @@ def parse_ring(text: str) -> CohomologyRing:
             value = tuple(c for c, _ in coords)
             key = (min(i, j) - 1, max(i, j) - 1)
             known = cup_entries.setdefault(key, value)
-            if known != value and h4.canonical(known) != h4.canonical(value):
+            if known != value and _reduce(known, h4._moduli) != _reduce(value, h4._moduli):
                 message = f"conflicting cup entry for generators {key[0] + 1} {key[1] + 1}"
                 raise ParseError(message, lineno, head_col)
             entry_position.setdefault(key, (lineno, head_col))

@@ -1,11 +1,13 @@
 import gc
 import itertools
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfour import abelian, cohomology
 from kfour.abelian import FgGroup
 from kfour.cohomology import (
     CohomologyRing,
@@ -15,6 +17,7 @@ from kfour.cohomology import (
     ValidationReport,
     validate_ring,
 )
+from kfour.dsl import ParseError, parse_ring
 from kfour.kclasses import k_mul, line_class
 
 
@@ -319,3 +322,48 @@ class TestSparseFormMatchesReference:
             assert (other == ring) == same
             if same:
                 assert hash(other) == hash(ring)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestReadingCompilesNoKernel:
+    """Parsing, building and validating a ring compile no group or ring kernel."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        count = [0]
+        for module in (abelian, cohomology):
+            def counted(*args, real=module._compile):
+                count[0] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, "_compile", counted)
+        return count
+
+    def test_golden_rings(self, compiles):
+        parsed = 0
+        for path in sorted(GOLDEN.glob("*.ring")):
+            try:
+                parse_ring(path.read_text(encoding="utf-8"))
+            except ParseError:
+                continue
+            parsed += 1
+            assert compiles[0] == 0, path.name
+        assert parsed >= 6
+
+    def test_one_entry_written_in_two_forms(self, compiles):
+        # 1 and 3 are one class of H^4 = Z/2; 2 is another
+        ring = parse_ring("H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 = 1\ncup 1 1 = 3\n")
+        assert ring.cup_form.pairs == (((0, 0), (1,)),) and ring.validate().ok
+        with pytest.raises(ParseError, match="conflicting cup entry"):
+            parse_ring("H2 free 0 torsion 2\nH4 free 0 torsion 2\ncup 1 1 = 1\ncup 1 1 = 2\n")
+        assert compiles[0] == 0
+
+    def test_from_pairs_given_a_pair_and_its_mirror_in_two_forms(self, compiles):
+        h2, h4 = FgGroup(0, (2, 2)), FgGroup(0, (2,))
+        ring = CohomologyRing(h2, h4, CupForm.from_pairs(h2, h4, {(0, 1): (1,), (1, 0): (3,)}))
+        assert ring.cup_form.pairs == (((0, 1), (1,)), ((1, 0), (1,))) and ring.validate().ok
+        with pytest.raises(ValueError, match="conflicting cup entries"):
+            CupForm.from_pairs(h2, h4, {(0, 1): (1,), (1, 0): (2,)})
+        assert compiles[0] == 0

@@ -15,9 +15,10 @@ END_TO_END = [
 ]
 
 
-def canned(latency, ops, fail_ratio=0.0, correct=True):
+def canned(latency, ops, fail_ratio=0.0, correct=True, calibration=0.027):
     """The last two stdout lines of a bench/run.py run, after some log lines."""
-    meta = {"meta": {"workload": "cli-cold", "fail_ratio": fail_ratio}}
+    meta = {"meta": {"workload": "cli-cold", "fail_ratio": fail_ratio,
+                     "calibration_start_cpu_wall_s": [calibration, calibration + 0.002]}}
     result = {
         "correct": correct,
         "attempted": 10,
@@ -119,3 +120,21 @@ def test_verdicts_flag_a_metric_past_its_bound():
     assert len(lines) == 2
     assert "latency_p50_ms" in lines[0] and "PAST BOUND" in lines[0]  # 1.4x
     assert "ops_per_s" in lines[1] and "within" in lines[1]  # 0.95x
+
+
+def test_setup_line_gives_each_side_median_start_calibration():
+    setup = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    calibrations = {"parent": [0.026, 0.035, 0.027], "change": [0.028, 0.040, 0.038]}
+    runs = [
+        {"seed": 501 + i, "first": "parent",
+         **{s: pairs.parse_run(canned(70.0, 14.0, calibration=calibrations[s][i]))
+            for s in pairs.SIDES}}
+        for i in range(3)
+    ]
+    entry = pairs.summarize(runs, END_TO_END + [setup])
+    assert entry["metrics"]["setup_s"]["calibration_start_cpu_s"] == calibrations
+    assert "calibration_start_cpu_s" not in entry["metrics"]["latency_p50_ms"]
+    lines = pairs.verdicts({"axiom-grind": entry})
+    assert [line.split()[1] for line in lines] == ["latency_p50_ms", "ops_per_s", "setup_s"]
+    assert lines[2].endswith("calibration 0.027 -> 0.038 s")
+    assert all("calibration" not in line for line in lines[:2])

@@ -17,7 +17,8 @@ side ran first, the largest fail_ratio per side, whether every run was
 correct, and per end-to-end metric of BENCHMARK.json each side's median and
 quartiles (statistics.quantiles, n=4, method='inclusive'), the change/parent
 ratio of the medians, the pairs the change won (ties count for neither), the
-parent's quartile spread and every run's value.  A claim holds when the
+parent's quartile spread and every run's value; setup_s also keeps every
+run's start calibration CPU time, per side.  A claim holds when the
 change wins at least nine tenths of the pairs and the medians differ, the
 change's way, by more than the parent's quartile spread.  A table of every
 ratio against its bound goes to stderr.
@@ -103,6 +104,11 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "parent_runs": values["parent"],
             "change_runs": values["change"],
         }
+    if "setup_s" in entry["metrics"]:
+        # a setup that reads high may be a slow host: each run's start calibration tells
+        entry["metrics"]["setup_s"]["calibration_start_cpu_s"] = {
+            s: [r[s][0]["calibration_start_cpu_wall_s"][0] for r in runs] for s in SIDES
+        }
     return entry
 
 
@@ -115,18 +121,25 @@ def claim_met(metric: dict, pairs: int) -> bool:
 
 
 def verdicts(workloads: dict) -> list[str]:
-    """One line per workload and metric: medians, ratio, wins and the bound."""
+    """One line per workload and metric: medians, ratio, wins and the bound.
+
+    The setup_s line also gives each side's median start calibration.
+    """
     lines = []
     for workload, entry in workloads.items():
         for name, m in entry["metrics"].items():
             ratio = m["change_over_parent"]
             worse = ratio - 1 if m["better"] == "lower" else 1 - ratio
-            lines.append(
+            line = (
                 f"{workload:15s} {name:16s} {m['parent']['median']:12.6g} -> "
                 f"{m['change']['median']:12.6g}  x{ratio:.3f}  wins "
                 f"{m['change_wins']}/{entry['pairs']}  "
                 f"{'PAST BOUND' if worse > m['bound'] else 'within'} {m['bound']:.0%}"
             )
+            if "calibration_start_cpu_s" in m:
+                medians = (statistics.median(m["calibration_start_cpu_s"][s]) for s in SIDES)
+                line += "  calibration {:.4g} -> {:.4g} s".format(*medians)
+            lines.append(line)
     return lines
 
 
