@@ -3,7 +3,8 @@
 Subcommands: structure, eval, verify, table, fmt.  Ring files are read from a
 path or from standard input when the path is '-'.  Exit codes: 0 success,
 1 usage error, 2 parse or validation error, 3 verification failure, 130
-interrupted (Ctrl-C), as shells report a SIGINT.
+interrupted (Ctrl-C), as shells report a SIGINT.  A ring past the coordinate
+limit exits 1 from eval, verify and table before any option is checked.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import sys
 
 from .abelian import GroupStructureReport
-from .cohomology import CohomologyRing, _require_coordinates
+from .cohomology import CohomologyRing, _CoordinateLimitError
 from .dsl import ParseError, eval_expr, parse_ring, serialize_ring
 from .kclasses import KClass, decompose
 from .oracle import (
@@ -53,14 +54,14 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text, run, classes=True):
+    def add(name, help_text, run):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("ringfile", help="ring description file, or '-' for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(run=run, classes=classes)
+        p.set_defaults(run=run)
         return p
 
-    add("structure", "print the isomorphism type of the K-group", _cmd_structure, False)
+    add("structure", "print the isomorphism type of the K-group", _cmd_structure)
     p_eval = add("eval", "evaluate a class expression", _cmd_eval)
     p_eval.add_argument("expr", help="expression over L([...]), V([...]) and integers")
     p_verify = add("verify", "re-check the defining relations by brute force", _cmd_verify)
@@ -77,7 +78,7 @@ def _build_parser() -> _ArgumentParser:
         "--limit", type=int, default=DEFAULT_TABLE_LIMIT, metavar="N",
         help=f"largest class count to tabulate (default {DEFAULT_TABLE_LIMIT})",
     )
-    add("fmt", "canonicalize a ring description", _cmd_fmt, False)
+    add("fmt", "canonicalize a ring description", _cmd_fmt)
     return parser
 
 
@@ -180,6 +181,7 @@ def _print_report(title: str, report: VerificationReport) -> None:
 
 
 def _cmd_verify(ring: CohomologyRing, args) -> int:
+    ring._admits_classes
     if args.bound < 1:
         raise _UsageError("--bound must be >= 1")
     relations = verify_relations(ring, bound=args.bound)
@@ -229,6 +231,7 @@ def _cmd_verify(ring: CohomologyRing, args) -> int:
 
 
 def _cmd_table(ring: CohomologyRing, args) -> int:
+    ring._admits_classes
     if not ring.is_finite:
         raise _UsageError("table requires finite H^2 and H^4")
     if args.limit < 1:
@@ -296,14 +299,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        ring = _load_ring(args.ringfile)
-        if args.classes:  # refused before anything of the declared length is built
-            try:
-                _require_coordinates(ring)
-            except ValueError as err:
-                raise _UsageError(err) from None
-        return args.run(ring, args)
-    except (_UsageError, OSError) as err:
+        return args.run(_load_ring(args.ringfile), args)
+    except (_UsageError, _CoordinateLimitError, OSError) as err:
         print(f"kfour: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ParseError as err:

@@ -16,9 +16,9 @@ class or a kernel is built only over a ring with at most MAX_COORDINATES
 coordinates in H^2 and H^4 together.
 
 A ring value can always be constructed, even from mathematically inconsistent
-data; :func:`validate_ring` reports every violation.  A K-class cannot be
-built over an invalid ring, and the ring-level entry points, which take a
-ring and no class, check it themselves.
+data; :func:`validate_ring` reports every violation.  What builds K-classes
+first reads the ring's one gate, which checks the limit, then validity, once
+per ring that passes; what builds none checks validity alone.
 """
 
 from __future__ import annotations
@@ -136,6 +136,10 @@ class InvalidRingError(ValueError):
 MAX_COORDINATES = 10_000
 
 
+class _CoordinateLimitError(ValueError):
+    """A ring past MAX_COORDINATES was asked for a class; the CLI exits 1 on it."""
+
+
 def _require_coordinates(ring: CohomologyRing) -> None:
     """Refuse a ring whose classes would have over ``MAX_COORDINATES`` coordinates.
 
@@ -145,7 +149,7 @@ def _require_coordinates(ring: CohomologyRing) -> None:
     """
     count = ring.h2.ngens + ring.h4.ngens
     if count > MAX_COORDINATES:
-        raise ValueError(
+        raise _CoordinateLimitError(
             f"a class over this ring has {count} coordinates; "
             f"the limit is {MAX_COORDINATES}"
         )
@@ -283,7 +287,28 @@ class CohomologyRing:
     def _validation(self) -> ValidationReport:
         # Computed once per ring object and kept in its __dict__, which a
         # frozen value class still allows, so the report dies with the ring.
-        return _validate(self)
+        issues: list[ValidationIssue] = []
+        pairs = self.cup_form.pairs
+        table = dict(pairs)
+        asymmetric = {(min(i, j), max(i, j)) for (i, j), e in pairs if table.get((j, i)) != e}
+        for i, j in sorted(asymmetric):
+            message = f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ"
+            issues.append(ValidationIssue("symmetry", i, j, message))
+        free, orders = self.h2.free_rank, self.h2.torsion_orders
+        for (i, j), e in pairs:
+            n = orders[i - free] if i >= free else 0
+            # n e in H^4, reduced here: every parse validates, and compiles no kernel
+            if n and any(n * c % m if m else n * c for c, m in zip(e, self.h4._moduli)):
+                message = (f"generator {i + 1} of H^2 has order {n} but "
+                           f"{n} * cup({i + 1}, {j + 1}) is nonzero in H^4")
+                issues.append(ValidationIssue("torsion", i, j, message))
+        return ValidationReport(tuple(issues))
+
+    @cached_property
+    def _admits_classes(self) -> bool:
+        _require_coordinates(self)
+        self.require_valid()
+        return True
 
     # The straight-line kernels of :func:`_compile`: each is compiled on its
     # first use and kept in the ring's __dict__, like the validation.
@@ -296,37 +321,6 @@ class CohomologyRing:
 
     def __str__(self) -> str:
         return f"CohomologyRing(H2={self.h2}, H4={self.h4})"
-
-
-def _validate(ring: CohomologyRing) -> ValidationReport:
-    issues: list[ValidationIssue] = []
-    pairs = ring.cup_form.pairs
-    table = dict(pairs)
-    asymmetric = {(min(i, j), max(i, j)) for (i, j), e in pairs if table.get((j, i)) != e}
-    for i, j in sorted(asymmetric):
-        issues.append(
-            ValidationIssue(
-                "symmetry",
-                i,
-                j,
-                f"cup entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ",
-            )
-        )
-    free, orders = ring.h2.free_rank, ring.h2.torsion_orders
-    for (i, j), e in pairs:
-        n = orders[i - free] if i >= free else 0
-        # n e in H^4, reduced here: every parse validates, and compiles no kernel
-        if n and any(n * c % m if m else n * c for c, m in zip(e, ring.h4._moduli)):
-            issues.append(
-                ValidationIssue(
-                    "torsion",
-                    i,
-                    j,
-                    f"generator {i + 1} of H^2 has order {n} but "
-                    f"{n} * cup({i + 1}, {j + 1}) is nonzero in H^4",
-                )
-            )
-    return ValidationReport(tuple(issues))
 
 
 def validate_ring(ring: CohomologyRing) -> ValidationReport:

@@ -463,6 +463,6 @@ class _ExprParser:
 
 
 def eval_expr(ring: CohomologyRing, text: str) -> KClass:
-    """Parse and evaluate a class expression over the given ring."""
-    ring.require_valid()
+    """Parse and evaluate a class expression, once the ring admits classes."""
+    ring._admits_classes
     return _ExprParser(ring, text).parse()

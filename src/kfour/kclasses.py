@@ -31,14 +31,14 @@ each; negation, scaling and powers share the affine one, which gives
 and none is built past the cohomology module's MAX_COORDINATES.
 
 Classes remember their ring, and every binary operation refuses operands
-from different rings.  A class can only be built over a valid ring, so the
-operations, whose operands are classes, do not check the ring again.
+from different rings.  A class is built only over a ring that passed its
+gate, valid and within the limit, so the operations do not check it again.
 """
 
 from __future__ import annotations
 
 from .abelian import Element, _frozen
-from .cohomology import CohomologyRing, _require_coordinates
+from .cohomology import CohomologyRing
 
 __all__ = [
     "KClass",
@@ -76,8 +76,7 @@ class KClass:
     c2: Element
 
     def __post_init__(self) -> None:
-        _require_coordinates(self.ring)
-        self.ring.require_valid()
+        self.ring._admits_classes
         object.__setattr__(self, "c1", self.ring.h2.canonical(self.c1))
         object.__setattr__(self, "c2", self.ring.h4.canonical(self.c2))
 
@@ -142,19 +141,19 @@ def _check_ring(ring: CohomologyRing, *classes: KClass) -> None:
 
 def integer_class(ring: CohomologyRing, n: int) -> KClass:
     """n copies of the trivial line bundle: the class (n, 0, 0)."""
-    _require_coordinates(ring)  # before a zero of the declared length
+    ring._admits_classes  # before a zero of the declared length
     return KClass(ring, n, ring.h2.zero, ring.h4.zero)
 
 
 def line_class(ring: CohomologyRing, x) -> KClass:
     """The line bundle with first Chern class x: the class (1, x, 0)."""
-    _require_coordinates(ring)  # before a zero of the declared length
+    ring._admits_classes  # before a zero of the declared length
     return KClass(ring, 1, x, ring.h4.zero)
 
 
 def rank2_class(ring: CohomologyRing, y) -> KClass:
     """The rank-2 bundle with c1 = 0 and c2 = y: the class (2, 0, y)."""
-    _require_coordinates(ring)  # before a zero of the declared length
+    ring._admits_classes  # before a zero of the declared length
     return KClass(ring, 2, ring.h2.zero, y)
 
 
@@ -213,7 +212,8 @@ def decompose(ring: CohomologyRing, a: KClass) -> tuple[int, Element, Element]:
 
     Recombining through k_scale/k_add reproduces the class exactly.
     """
-    _check_ring(ring, a)
+    if a.ring is not ring:
+        _check_ring(ring, a)
     return a.rank - 3, a.c1, a.c2
 
 

@@ -54,7 +54,7 @@ from .abelian import (
     _frozen,
     _solve_relations,
 )
-from .cohomology import CohomologyRing, _require_coordinates
+from .cohomology import CohomologyRing
 from .kclasses import (
     KClass,
     integer_class,
@@ -209,8 +209,7 @@ def verify_relations(ring: CohomologyRing, bound: int = DEFAULT_BOUND) -> Verifi
     coordinates in [-bound, bound].  A correct engine reports zero failures
     on every valid ring.
     """
-    ring.require_valid()
-    _require_coordinates(ring)
+    ring._admits_classes
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     domains = {"x": _domain(ring.h2, bound), "y": _domain(ring.h4, bound)}
@@ -304,8 +303,7 @@ def verify_ring_axioms(
     coordinates in [-bound, bound] are drawn instead, which also works over
     infinite cohomology.
     """
-    ring.require_valid()
-    _require_coordinates(ring)
+    ring._admits_classes
     lo, hi = rank_range
     # Sums and products escape the drawn classes, so the list grows as the
     # memos fill.  Each distinct class gets one index, so equal classes

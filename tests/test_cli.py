@@ -707,8 +707,11 @@ def test_huge_declared_rank_costs_its_entries(source, command, expected):
                                                  (HUGE_FREE, 200000000000)],
                          ids=["twisted", "free"])
 @pytest.mark.parametrize("argv", [("eval", "1"), ("eval", "V([0])"), ("verify",),
-                                  ("verify", "--axioms"), ("table",)],
-                         ids=["eval-1", "eval-V", "verify", "verify-axioms", "table"])
+                                  ("verify", "--axioms"), ("table",),
+                                  ("verify", "--bound", "0"), ("table", "--limit", "0"),
+                                  ("eval", "L([1,2")],
+                         ids=["eval-1", "eval-V", "verify", "verify-axioms", "table",
+                              "verify-bound-0", "table-limit-0", "eval-unclosed"])
 def test_huge_declared_rank_refused_where_classes_are_built(source, coordinates, argv):
     # a class would have one coordinate per generator, so these commands stop
     # at the coordinate limit before anything of the declared length exists

@@ -8,8 +8,9 @@ from conftest import cup_entry_choices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfour import cohomology, eval_expr, verify_relations, verify_ring_axioms
 from kfour.abelian import FgGroup
-from kfour.cohomology import CohomologyRing, CupForm, InvalidRingError
+from kfour.cohomology import MAX_COORDINATES, CohomologyRing, CupForm, InvalidRingError
 from kfour.kclasses import (
     KClass,
     MixedRingError,
@@ -634,6 +635,42 @@ class TestReductionCount:
         k_pow(ring, a, 5)
         k_pow(ring, b, 2)
         assert calls[0] == 0
+
+
+class TestClassGate:
+    def test_one_gate_per_ring(self, monkeypatch):
+        ring = rp4()
+        for kernel in ("_cup_kernel", "_add_kernel", "_mul_kernel", "_affine_kernel"):
+            getattr(ring, kernel)  # compiled first: _compile checks the limit itself
+        calls = {"limit": 0, "valid": 0}
+
+        def counted(name, check):
+            def wrapper(*args):
+                calls[name] += 1
+                return check(*args)
+            return wrapper
+
+        monkeypatch.setattr(cohomology, "_require_coordinates",
+                            counted("limit", cohomology._require_coordinates))
+        monkeypatch.setattr(CohomologyRing, "require_valid",
+                            counted("valid", CohomologyRing.require_valid))
+        for n in range(100):
+            KClass(ring, n, (n,), (1,))
+            integer_class(ring, n)
+            line_class(ring, (n,))
+            rank2_class(ring, (n,))
+        assert eval_expr(ring, "L([1])*V([1]) - 2") == KClass(ring, 0, (0,), (0,))
+        assert verify_relations(ring).ok and verify_ring_axioms(ring).ok
+        assert calls == {"limit": 1, "valid": 1}
+
+    def test_failing_ring_refused_every_time(self):
+        invalid = make_ring(FgGroup(0, (2,)), FgGroup(1), {(0, 0): (1,)})
+        huge = make_ring(FgGroup(MAX_COORDINATES), FgGroup(1))
+        for _ in range(2):
+            with pytest.raises(InvalidRingError):
+                KClass(invalid, 1, (0,), (0,))
+            with pytest.raises(ValueError, match=f"the limit is {MAX_COORDINATES}$"):
+                KClass(huge, 1, huge.h2.zero, huge.h4.zero)
 
 
 # An independent product check: expand a b over a = n 1 + L(x) + V(y) into

@@ -8,7 +8,11 @@ on every valid ring, including ones with no H^2 or no H^4.
 """
 
 import gc
+import os
 import pickle
+import resource
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -16,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cup_entry_choices, make_ring
-from kfour import cohomology
+from conftest import CLI_MEMORY_CAP, SRC, cup_entry_choices, make_ring
+from kfour import cohomology, eval_expr
 from kfour.abelian import FgGroup
 from kfour.cohomology import MAX_COORDINATES
-from kfour.kclasses import KClass, choose2, k_add, k_mul, k_neg, k_pow, k_scale
+from kfour.kclasses import (KClass, choose2, integer_class, k_add, k_mul, k_neg, k_pow,
+                            k_scale, line_class, rank2_class)
 
 
 def reduce(coords, moduli):
@@ -201,3 +206,67 @@ def test_no_class_or_kernel_past_the_coordinate_limit(h2, h4):
         KClass(ring, 1, h2.zero, h4.zero)
     with pytest.raises(ValueError, match=message):
         cohomology._compile(ring, "add")
+    for build in (lambda: integer_class(ring, 1), lambda: line_class(ring, h2.zero),
+                  lambda: rank2_class(ring, h4.zero), lambda: eval_expr(ring, "1")):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # past the gate, each would first list an H^2 domain of 5^10000 or 2^10000
+    # elements, so they run in a capped child
+    refusal = f"a class over this ring has {message}"
+    assert capped_calls(ring, ("verify_relations",), ("verify_ring_axioms",)) == [refusal] * 2
+
+
+def test_constructors_refused_before_their_zeros():
+    # a zero of 10^11 coordinates would exhaust the capped child's memory
+    ring = make_ring(FgGroup(10**11), FgGroup(10**11))
+    refusal = (f"a class over this ring has {2 * 10**11} coordinates; "
+               f"the limit is {MAX_COORDINATES}")
+    calls = [("integer_class", 1), ("line_class", ()), ("rank2_class", ())]
+    assert capped_calls(ring, *calls) == [refusal] * 3
+
+
+# Makes each call (name, *args) of a kfour function on a pickled ring, one
+# line per call: the message of the ValueError it raised, or "returned"
+CAPPED_CALLS = """
+import pickle, sys
+import kfour
+ring, calls = pickle.load(sys.stdin.buffer)
+for name, *args in calls:
+    try:
+        getattr(kfour, name)(ring, *args)
+    except ValueError as err:
+        print(err)
+    else:
+        print("returned")
+"""
+
+
+def capped_calls(ring, *calls):
+    """CAPPED_CALLS's lines on ``ring``, in a child capped as run_cli_capped caps the CLI."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CLI_MEMORY_CAP, CLI_MEMORY_CAP))
+
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{path}" if path else str(SRC))
+    result = subprocess.run([sys.executable, "-c", CAPPED_CALLS],
+                            input=pickle.dumps((ring, calls)), capture_output=True, timeout=5,
+                            env=env, preexec_fn=cap)
+    return result.stdout.decode().splitlines()
+
+
+def test_invalid_ring_past_the_limit_refused_alike_everywhere():
+    # the gate checks the limit before validity, so every entry point that
+    # builds classes gives the limit's error, not InvalidRingError
+    h2, h4 = FgGroup(MAX_COORDINATES, (2,)), FgGroup(1)
+    ring = make_ring(h2, h4, {(MAX_COORDINATES, MAX_COORDINATES): (1,)})
+    assert not ring.validate().ok
+    refusal = (f"a class over this ring has {MAX_COORDINATES + 2} coordinates; "
+               f"the limit is {MAX_COORDINATES}")
+    for build in (lambda: KClass(ring, 1, h2.zero, h4.zero), lambda: integer_class(ring, 1),
+                  lambda: line_class(ring, h2.zero), lambda: rank2_class(ring, h4.zero),
+                  lambda: eval_expr(ring, "L([1")):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == refusal
+    assert capped_calls(ring, ("verify_relations",), ("verify_ring_axioms",)) == [refusal] * 2
